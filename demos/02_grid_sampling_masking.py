@@ -1,10 +1,10 @@
 """Tour of the dense proposal grid, feature sampling, and random masking.
 
 Every candidate segment lives at a (duration, start) cell of a D x T grid.
-Each valid cell samples N points from the boundary-expanded segment via a
-sparse bilinear map, and during training whole proposal features are
-randomly zeroed (with survivor rescaling) to decorrelate neighbouring
-cells.
+Each valid cell samples N points from the boundary-expanded segment through
+bilinear taps (at most two input positions per point), and during training
+whole proposal features are randomly zeroed (with survivor rescaling) to
+decorrelate neighbouring cells.
 """
 
 import numpy as np
@@ -25,13 +25,26 @@ assert grid.n_valid == 8 * 9 // 2
 
 # --- sampling ---------------------------------------------------------------
 sm = build_sampling_matrix(t_scale=8, d_max=8, n_samples=4, expansion=0.25)
-print(f"\nsampling matrix: {sm.weights.shape[0]} rows x {sm.t_in} cols, "
-      f"{sm.weights.nnz} nonzeros")
+left, right, w_left, w_right = sm.taps()               # each (cells, N)
+print(f"\nsampling taps: {grid.n_valid} cells x {sm.n_samples} points, "
+      f"{int(sm.in_range.sum())} in range, "
+      f"{int((w_left > 0).sum() + (w_right > 0).sum())} nonzero weights")
 
-# rows for in-range points sum to 1 (bilinear weights are a convex pair)
-row_sums = np.asarray(sm.weights.sum(axis=1)).ravel()
-print(f"row sums are 0 (outside/invalid) or 1 (in range): "
-      f"{np.unique(np.round(row_sums, 12)).tolist()}")
+# in-range points have weights summing to 1 (bilinear weights are a convex
+# pair); out-of-range points read nothing
+sums = w_left + w_right
+print(f"tap weight sums are 0 (outside) or 1 (in range): "
+      f"{np.unique(np.round(sums, 12)).tolist()}")
+
+# the network never builds the N sample points: sampling and the N-point
+# reduction with weights w fold into one (D*T, T) matrix
+w = np.linspace(1.0, 2.0, sm.n_samples)
+w_r = sm.reduction_matrix(w)
+x = np.random.default_rng(0).normal(size=8)
+fused = (x @ w_r.T).reshape(8, 8)
+direct = np.tensordot(sample_proposal_features(x, sm), w, axes=(0, 0))
+assert np.allclose(fused, direct, rtol=1e-12, atol=1e-12)
+print(f"fused (D*T, T) = {w_r.shape} operator matches sample-then-reduce")
 
 # sampling a linear ramp returns the sample positions themselves
 ramp = np.arange(8, dtype=float)[None, :]          # (C=1, T)

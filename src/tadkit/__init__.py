@@ -1,6 +1,6 @@
 """Temporal action detection toolkit.
 
-A numpy/scipy implementation of a proposal-based detection pipeline:
+A pure-numpy implementation of a proposal-based detection pipeline:
 synthetic data generation, data pre-processing strategies, a dense
 boundary-matching proposal grid with random proposal-feature masking, a
 trainable confidence network with hand-written gradients, soft-NMS

@@ -186,6 +186,9 @@ def load_features(path: str | Path) -> np.ndarray:
             f"{path}: unsupported version {version} (expected "
             f"{FEATURE_VERSION})"
         )
+    if t < 1 or c < 1:
+        raise FeatureIOError(f"{path}: empty feature sequence (header says "
+                             f"T={t}, C={c})")
     expected = 16 + 4 * t * c
     if len(data) < expected:
         raise FeatureIOError(
@@ -216,19 +219,39 @@ def save_features(features: np.ndarray, path: str | Path) -> None:
 
 
 def load_class_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Read the class-score JSON; validates ordering and label uniqueness."""
-    raw = json.loads(Path(path).read_text())
+    """Read the class-score JSON; validates the schema, ordering and label
+    uniqueness.
+
+    Raises AnnotationError naming the file, the video and, for a bad entry,
+    its index.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise AnnotationError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise AnnotationError(f"{path}: top level must be an object")
     scores: dict[str, list[tuple[str, float]]] = {}
     for vid, entries in raw.items():
-        pairs = [(str(e["label"]), float(e["score"])) for e in entries]
+        where = f"{path}: video {vid!r}"
+        if not isinstance(entries, list):
+            raise AnnotationError(f"{where}: entries must be a list")
+        pairs = []
+        for i, e in enumerate(entries):
+            try:
+                pairs.append((str(e["label"]), float(e["score"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise AnnotationError(
+                    f"{where}, entry {i}: expected an object with 'label' "
+                    f"and numeric 'score': {exc!r}") from exc
         labels = [la for la, _ in pairs]
         if len(set(labels)) != len(labels):
-            raise AnnotationError(f"video {vid!r}: duplicate class labels")
+            raise AnnotationError(f"{where}: duplicate class labels")
         vals = [s for _, s in pairs]
         if any(b > a for a, b in zip(vals, vals[1:])):
-            raise AnnotationError(f"video {vid!r}: scores not non-increasing")
+            raise AnnotationError(f"{where}: scores not non-increasing")
         if any(not (0.0 <= s <= 1.0) for s in vals):
-            raise AnnotationError(f"video {vid!r}: scores outside [0, 1]")
+            raise AnnotationError(f"{where}: scores outside [0, 1]")
         scores[vid] = pairs
     return scores
 

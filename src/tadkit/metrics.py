@@ -152,41 +152,48 @@ def auc(curve: ARCurve) -> float:
 
 
 def ap_at_tiou(dets: list[tuple[str, float, float, float]],
-               gt: dict[str, np.ndarray], tiou: float) -> float:
-    """Average precision for one class.
+               gt: dict[str, np.ndarray],
+               tiou: float | np.ndarray) -> float | np.ndarray:
+    """Average precision for one class, at one or several tIoU thresholds.
 
     dets are (video_id, start, end, score) tuples; ties in score keep input
-    order. A class with no ground truth scores 0.
+    order. A class with no ground truth scores 0. Each detection's IoUs are
+    computed once and greedy matching runs for every threshold together, so
+    an array of thresholds costs about as much as one; the result is a float
+    for a scalar ``tiou`` and an array of the same length otherwise.
     """
+    th = np.atleast_1d(np.asarray(tiou, dtype=np.float64))
+    ap = np.zeros(len(th))
     npos = sum(len(g) for g in gt.values())
-    if npos == 0:
-        return 0.0
-    ranked = sorted(dets, key=lambda d: d[3], reverse=True)
-    matched = {vid: np.zeros(len(g), dtype=bool) for vid, g in gt.items()}
-    tp = np.zeros(len(ranked))
-    fp = np.zeros(len(ranked))
-    for i, (vid, s, e, _) in enumerate(ranked):
-        g = gt.get(vid)
-        if g is None or len(g) == 0:
-            fp[i] = 1.0
-            continue
-        iou = _pairwise_iou(np.array([[s, e]]), np.asarray(g, np.float64))[0]
-        iou = np.where(matched[vid], -1.0, iou)
-        j = int(np.argmax(iou))
-        if iou[j] >= tiou:
-            tp[i] = 1.0
-            matched[vid][j] = True
-        else:
-            fp[i] = 1.0
-    if not len(ranked):
-        return 0.0
-    tp_c = np.cumsum(tp)
-    fp_c = np.cumsum(fp)
-    recall = tp_c / npos
-    precision = tp_c / (tp_c + fp_c)
-    interp = np.maximum.accumulate(precision[::-1])[::-1]
-    r_prev = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - r_prev) * interp).sum())
+    if npos > 0 and dets:
+        ranked = sorted(dets, key=lambda d: d[3], reverse=True)
+        segs = np.array([[s, e] for _, s, e, _ in ranked], dtype=np.float64)
+        rows: dict[str, list[int]] = {}
+        for i, (vid, *_) in enumerate(ranked):
+            rows.setdefault(vid, []).append(i)
+        levels = np.arange(len(th))
+        tp = np.zeros((len(th), len(ranked)))
+        for vid, idx in rows.items():
+            g = gt.get(vid)
+            if g is None or len(g) == 0:
+                continue
+            ious = _pairwise_iou(segs[idx], np.asarray(g, np.float64))
+            matched = np.zeros((len(th), len(g)), dtype=bool)
+            for i, iou in zip(idx, ious):
+                iou = np.where(matched, -1.0, iou)
+                j = iou.argmax(axis=1)
+                hit = iou[levels, j] >= th
+                tp[hit, i] = 1.0
+                matched[levels[hit], j[hit]] = True
+        tp_c = np.cumsum(tp, axis=1)
+        fp_c = np.cumsum(1.0 - tp, axis=1)
+        recall = tp_c / npos
+        precision = tp_c / (tp_c + fp_c)
+        interp = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+        r_prev = np.concatenate([np.zeros((len(th), 1)), recall[:, :-1]],
+                                axis=1)
+        ap = ((recall - r_prev) * interp).sum(axis=1)
+    return float(ap[0]) if np.ndim(tiou) == 0 else ap
 
 
 def average_map(dets: dict[str, list[Detection]],
@@ -208,8 +215,7 @@ def average_map(dets: dict[str, list[Detection]],
         class_dets = [(vid, d.start, d.end, d.score)
                       for vid, dlist in dets.items() for d in dlist
                       if d.label == label]
-        ap_table[label] = np.array(
-            [ap_at_tiou(class_dets, class_gt, t) for t in th])
+        ap_table[label] = ap_at_tiou(class_dets, class_gt, th)
     per_threshold = np.mean([ap_table[c] for c in classes], axis=0)
     return MapReport(th, per_threshold, float(per_threshold.mean()), ap_table)
 

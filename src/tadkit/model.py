@@ -5,7 +5,10 @@ loop.
 Everything runs in float64 numpy. The backward pass is written by hand for
 this fixed architecture and is validated against central finite differences
 by the test suite. Shapes are channel-major internally: a batch is
-``(B, C, T)`` and the dense proposal tensor is ``(B, C, N, D, T)``.
+``(B, C, T)`` and the reduced proposal map is ``(B, C, D, T)``. Sampling N
+points per cell, masking them and contracting them with ``reduce_w`` is one
+``(D*T, T)`` matmul (``SamplingMatrix.reduction_matrix``), so the
+``(B, C, N, D, T)`` proposal tensor is never built.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .dataio import AnnotationSet, VideoAnnotation, rescale_features
 from .preprocess import PreprocessConfig, resize_instance, temporal_shift
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
                         build_sampling_matrix, draw_mask, gt_iou_map,
-                        proposal_grid, sample_adjoint,
-                        sample_proposal_features)
+                        proposal_grid)
 
 MODEL_MAGIC = b"CPNM"
 MODEL_VERSION = 1
@@ -160,6 +161,13 @@ def init_params(cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # Layer primitives
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only ever sees non-positive arguments, so
+    no input overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _pad1d(x: np.ndarray, p: int) -> np.ndarray:
     b, c, t = x.shape
     xp = np.zeros((b, c, t + 2 * p))
@@ -236,33 +244,70 @@ def _conv2d_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
     return gxp[:, :, p:p + d, p:p + t], gw, gb
 
 
+def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
+                     b: np.ndarray, masks: np.ndarray | None):
+    """Sample N points per proposal cell, mask, and reduce over N with
+    weights ``w`` plus bias ``b``: (B, C, T) -> (B, C, D, T).
+
+    ``masks`` (B, C|1, D|1, T|1) must not vary over N, so masking commutes
+    with the reduction and the whole layer is one matmul with
+    W_r = sum_n w[n] W_n. Returns the output and W_r.
+    """
+    w_r = sm.reduction_matrix(w)  # (D*T, T)
+    out = (h2 @ w_r.T).reshape(*h2.shape[:2], sm.grid.d_max,
+                               sm.grid.t_scale)
+    if masks is not None:
+        out *= masks
+    out += b[0]
+    return out, w_r
+
+
+def _proposal_reduce_backward(gout: np.ndarray, h2: np.ndarray,
+                              sm: SamplingMatrix, w_r: np.ndarray,
+                              masks: np.ndarray | None):
+    """Gradients of _proposal_reduce w.r.t. (h2, w, b)."""
+    gb = np.array([gout.sum()])
+    if masks is not None:
+        gout = gout * masks
+    gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T)
+    gw = sm.reduction_weight_grad(gflat.T @ h2.reshape(gflat.shape[0], -1))
+    return (gflat @ w_r).reshape(h2.shape), gw, gb
+
+
 # ---------------------------------------------------------------------------
 # Forward
 
 def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
                    masks: np.ndarray | None) -> dict:
     """Run the full network on a (B, C_in, T) batch; returns all
-    intermediates needed by the backward pass."""
-    sm = cfg.sampling_matrix()
+    intermediates needed by the backward pass.
+
+    ``masks`` are per-sample draw_mask results stacked to (B, C|1, 1,
+    D|1, T|1); being constant over N, they are applied after the N-point
+    reduction.
+    """
     h1 = np.maximum(_conv1d(x, params["stem1_w"], params["stem1_b"]), 0.0)
     h2 = np.maximum(_conv1d(h1, params["stem2_w"], params["stem2_b"]), 0.0)
-    p_start = expit(_conv1d(h2, params["start_w"], params["start_b"])[:, 0])
-    p_end = expit(_conv1d(h2, params["end_w"], params["end_b"])[:, 0])
+    p_start = _sigmoid(_conv1d(h2, params["start_w"], params["start_b"])[:, 0])
+    p_end = _sigmoid(_conv1d(h2, params["end_w"], params["end_b"])[:, 0])
 
-    sampled = sample_proposal_features(h2, sm)  # (B, C_h, N, D, T)
     if masks is not None:
-        sampled = sampled * masks
-    reduced = (np.tensordot(sampled, params["reduce_w"], axes=([2], [0]))
-               + params["reduce_b"][0])  # (B, C_h, D, T)
+        if masks.shape[2] != 1:
+            raise ValueError("proposal masks must be constant over the N "
+                             f"sample points, got shape {masks.shape}")
+        masks = masks[:, :, 0]  # (B, C|1, D|1, T|1)
+    sm = cfg.sampling_matrix()
+    reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
+                                    params["reduce_b"], masks)
     hidden2d = np.maximum(_conv2d(reduced, params["pem_w"], params["pem_b"]),
                           0.0)
-    p_cls = expit(np.tensordot(hidden2d, params["cls_w"], axes=([1], [0]))
-                  + params["cls_b"][0])
-    p_reg = expit(np.tensordot(hidden2d, params["reg_w"], axes=([1], [0]))
-                  + params["reg_b"][0])
-    return dict(x=x, h1=h1, h2=h2, sampled=sampled, reduced=reduced,
-                hidden2d=hidden2d, p_start=p_start, p_end=p_end, p_cls=p_cls,
-                p_reg=p_reg, masks=masks, sm=sm)
+    p_cls = _sigmoid(np.tensordot(hidden2d, params["cls_w"],
+                                  axes=([1], [0])) + params["cls_b"][0])
+    p_reg = _sigmoid(np.tensordot(hidden2d, params["reg_w"],
+                                  axes=([1], [0])) + params["reg_b"][0])
+    return dict(x=x, h1=h1, h2=h2, reduced=reduced, hidden2d=hidden2d,
+                p_start=p_start, p_end=p_end, p_cls=p_cls, p_reg=p_reg,
+                masks=masks, sm=sm, w_r=w_r)
 
 
 def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
@@ -270,7 +315,7 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
                     g_reg: np.ndarray) -> dict[str, np.ndarray]:
     """Propagate output gradients back to every parameter."""
     h1, h2 = fwd["h1"], fwd["h2"]
-    sampled, reduced, hidden2d = fwd["sampled"], fwd["reduced"], fwd["hidden2d"]
+    reduced, hidden2d = fwd["reduced"], fwd["hidden2d"]
     p_start, p_end, p_cls, p_reg = (fwd["p_start"], fwd["p_end"],
                                     fwd["p_cls"], fwd["p_reg"])
     g = {}
@@ -287,14 +332,8 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
 
     greduced, g["pem_w"], g["pem_b"] = _conv2d_backward(
         gh2d, reduced, params["pem_w"])
-    g["reduce_w"] = np.tensordot(greduced, sampled,
-                                 axes=([0, 1, 2, 3], [0, 1, 3, 4]))
-    g["reduce_b"] = np.array([greduced.sum()])
-    gsampled = (greduced[:, :, None, :, :]
-                * params["reduce_w"][None, None, :, None, None])
-    if fwd["masks"] is not None:
-        gsampled = gsampled * fwd["masks"]
-    gh2 = sample_adjoint(gsampled, fwd["sm"])
+    gh2, g["reduce_w"], g["reduce_b"] = _proposal_reduce_backward(
+        greduced, h2, fwd["sm"], fwd["w_r"], fwd["masks"])
 
     gz_start = (g_start * p_start * (1.0 - p_start))[:, None, :]
     gz_end = (g_end * p_end * (1.0 - p_end))[:, None, :]

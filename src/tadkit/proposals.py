@@ -1,6 +1,6 @@
 """Dense proposal machinery: the duration-by-start lattice of candidate
-segments, the IoU targets, the sparse proposal-feature sampling matrix, and
-random proposal masking.
+segments, the IoU targets, the bilinear proposal-feature sampling taps with
+their fused N-point reduction, and random proposal masking.
 
 Grid convention: cell (d, t) with 0-based duration index d denotes the
 segment [t, t + d + 1) in snippet units; it is valid iff t + d + 1 <= T.
@@ -9,10 +9,9 @@ segment [t, t + d + 1) in snippet units; it is valid iff t + d + 1 <= T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataio import VideoAnnotation
 
@@ -90,33 +89,75 @@ def gt_iou_map(grid: ProposalGrid, ann: VideoAnnotation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplingMatrix:
-    """Sparse linear map from a length-T feature axis to N sample points per
-    grid cell.
+    """Bilinear taps from a length-T feature axis to N sample points per
+    valid grid cell.
 
-    ``weights`` has shape (N*D*T, t_in) with row index (n*D + d)*T + t and at
-    most two nonzeros per row (the bilinear pair); rows for out-of-range
-    sample points and for invalid cells are empty. ``weights_t`` is the
-    cached transpose for the adjoint.
+    Sample point n of valid cell ``c`` reads input positions ``i0[c, n]``
+    and ``i0[c, n] + 1`` with weights ``1 - frac[c, n]`` and ``frac[c, n]``
+    when ``in_range[c, n]``; out-of-range points read nothing. ``cells[c]``
+    is the flat ``d * T + t`` index of the cell, in scan order. The taps
+    define the linear map W_n : (t_in,) -> (D*T,) for each n; it is never
+    stored densely.
     """
 
     t_in: int
     n_samples: int
     expansion: float
     grid: ProposalGrid = field(repr=False, compare=False)
-    weights: sp.csr_matrix = field(repr=False, compare=False)
-    weights_t: sp.csr_matrix = field(repr=False, compare=False)
+    cells: np.ndarray = field(repr=False, compare=False)
+    i0: np.ndarray = field(repr=False, compare=False)
+    frac: np.ndarray = field(repr=False, compare=False)
+    in_range: np.ndarray = field(repr=False, compare=False)
+
+    def taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(left column, right column, left weight, right weight), each
+        (n_valid, N). Out-of-range points get weight 0 on column 0; the
+        right column is clipped to t_in - 1 where its weight is 0."""
+        left = np.where(self.in_range, self.i0, 0)
+        right = np.minimum(left + 1, self.t_in - 1)
+        w_left = np.where(self.in_range, 1.0 - self.frac, 0.0)
+        w_right = np.where(self.in_range, self.frac, 0.0)
+        return left, right, w_left, w_right
+
+    @cached_property
+    def _flat_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both taps as indices into a flattened (D*T, t_in) matrix and
+        their weights, each (2, n_valid, N)."""
+        left, right, w_left, w_right = self.taps()
+        base = self.cells[:, None] * self.t_in
+        return (np.stack([base + left, base + right]),
+                np.stack([w_left, w_right]))
+
+    def reduction_matrix(self, reduce_w: np.ndarray) -> np.ndarray:
+        """The dense (D*T, t_in) matrix W_r = sum_n reduce_w[n] * W_n.
+
+        Sampling N points per cell and then contracting them with
+        ``reduce_w`` is the single matmul ``hidden @ W_r.T``.
+        """
+        idx, wts = self._flat_taps
+        size = self.grid.d_max * self.grid.t_scale
+        return np.bincount(idx.ravel(), (wts * reduce_w).ravel(),
+                           minlength=size * self.t_in).reshape(size,
+                                                               self.t_in)
+
+    def reduction_weight_grad(self, outer: np.ndarray) -> np.ndarray:
+        """Gradient of ``<outer, W_r>`` w.r.t. ``reduce_w``: (N,).
+
+        ``outer`` is a (D*T, t_in) matrix; entry n is ``<outer, W_n>``.
+        """
+        idx, wts = self._flat_taps
+        return (outer.reshape(-1)[idx] * wts).sum(axis=(0, 1))
 
 
 @lru_cache(maxsize=8)
 def build_sampling_matrix(t_scale: int, d_max: int, n_samples: int,
                           expansion: float = 0.25) -> SamplingMatrix:
     """Place N equidistant points on each valid cell's expanded segment and
-    record bilinear interpolation weights over input positions 0..T-1.
+    record bilinear interpolation taps over input positions 0..T-1.
 
     The segment [t, t+k) is expanded to [t - expansion*k, t+k + expansion*k];
     points land on that interval inclusive of both ends. Points outside
-    [0, T-1] contribute nothing (their row stays empty). Results are cached
-    per (T, D, N, expansion).
+    [0, T-1] contribute nothing. Results are cached per (T, D, N, expansion).
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -132,22 +173,11 @@ def build_sampling_matrix(t_scale: int, d_max: int, n_samples: int,
     in_range = (pts >= 0.0) & (pts <= t_scale - 1)
     i0 = np.floor(pts).astype(np.intp)
     frac = pts - i0
-
-    rows = ((np.arange(n_samples)[None, :] * d_max + d_idx[:, None])
-            * t_scale + t_idx[:, None])
-
-    keep0 = in_range
-    keep1 = in_range & (frac > 0.0)
-    row_ids = np.concatenate([rows[keep0], rows[keep1]])
-    col_ids = np.concatenate([i0[keep0], i0[keep1] + 1])
-    data = np.concatenate([1.0 - frac[keep0], frac[keep1]])
-
-    weights = sp.csr_matrix(
-        (data, (row_ids, col_ids)),
-        shape=(n_samples * d_max * t_scale, t_scale))
-    weights.sum_duplicates()
-    return SamplingMatrix(t_scale, n_samples, expansion, grid, weights,
-                          weights.T.tocsr())
+    cells = d_idx * t_scale + t_idx
+    for arr in (cells, i0, frac, in_range):
+        arr.setflags(write=False)
+    return SamplingMatrix(t_scale, n_samples, expansion, grid, cells, i0,
+                          frac, in_range)
 
 
 def sample_proposal_features(hidden: np.ndarray,
@@ -155,7 +185,9 @@ def sample_proposal_features(hidden: np.ndarray,
     """Sample dense proposal features: (..., t_in) -> (..., N, D, T).
 
     A pure linear map; entries at invalid cells and out-of-range sample
-    points are zero.
+    points are zero. This materializes every sample point and serves as
+    the reference for the fused operator (``SamplingMatrix.reduction_matrix``)
+    that the network uses.
     """
     hidden = np.asarray(hidden)
     if hidden.shape[-1] != sm.t_in:
@@ -164,19 +196,28 @@ def sample_proposal_features(hidden: np.ndarray,
             f"{sm.t_in}")
     lead = hidden.shape[:-1]
     flat = hidden.reshape(-1, sm.t_in)
-    out = sm.weights @ flat.T  # (N*D*T, M)
-    out = np.ascontiguousarray(out.T)
+    left, right, w_left, w_right = sm.taps()
+    vals = flat[:, left] * w_left + flat[:, right] * w_right  # (M, cells, N)
+    size = sm.grid.d_max * sm.grid.t_scale
+    out = np.zeros((flat.shape[0], sm.n_samples, size))
+    out[:, :, sm.cells] = vals.transpose(0, 2, 1)
     return out.reshape(*lead, sm.n_samples, sm.grid.d_max, sm.grid.t_scale)
 
 
 def sample_adjoint(grad_out: np.ndarray, sm: SamplingMatrix) -> np.ndarray:
     """Adjoint of sample_proposal_features: (..., N, D, T) -> (..., t_in)."""
     grad_out = np.asarray(grad_out)
-    ndt = sm.n_samples * sm.grid.d_max * sm.grid.t_scale
+    size = sm.grid.d_max * sm.grid.t_scale
     lead = grad_out.shape[:-3]
-    flat = grad_out.reshape(-1, ndt)
-    out = sm.weights_t @ flat.T  # (t_in, M)
-    return np.ascontiguousarray(out.T).reshape(*lead, sm.t_in)
+    flat = grad_out.reshape(-1, sm.n_samples, size)
+    rows = np.arange(flat.shape[0])[:, None] * sm.t_in
+    out = np.zeros(flat.shape[0] * sm.t_in)
+    left, right, w_left, w_right = sm.taps()
+    for n, g in enumerate(flat[:, :, sm.cells].transpose(1, 0, 2)):
+        for cols, wts in ((left, w_left), (right, w_right)):
+            out += np.bincount((rows + cols[:, n]).ravel(),
+                               (g * wts[:, n]).ravel(), minlength=out.size)
+    return out.reshape(*lead, sm.t_in)
 
 
 @dataclass
@@ -199,8 +240,14 @@ def draw_mask(shape: tuple[int, int, int, int], cfg: MaskConfig,
     """Realize one mask for a (C, N, D, T) tensor, broadcastable to it.
 
     Surviving positions carry 1/(1-p) so masking preserves expectations;
-    dropped positions are 0. Proposal granularity zeroes whole (d, t) cells,
-    channel granularity zeroes whole channels.
+    dropped positions are 0. Proposal granularity zeroes whole (d, t) cells
+    and returns shape (1, 1, D, T); channel granularity zeroes whole
+    channels and returns (C, 1, 1, 1).
+
+    A mask must be constant over the N sample points (its N axis has
+    length 1): the network never builds the (C, N, D, T) tensor and
+    applies the mask after the N-point reduction, which is exact only
+    for N-invariant masks.
     """
     cfg.validate()
     c, _, d, t = shape

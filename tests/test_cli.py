@@ -246,6 +246,44 @@ class TestPipeline:
         b = (tmp_path / "again" / "proposals.json").read_bytes()
         assert a == b
 
+    def _infer_error(self, pipeline, tmp_path, capsys, **paths):
+        cfg = json.loads((pipeline / "run.json").read_text())
+        cfg["paths"]["model"] = str(pipeline / "out" / "model.cpnm")
+        cfg["paths"]["output_dir"] = str(tmp_path / "bad")
+        cfg["paths"].update(paths)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["infer", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_class_scores_without_label_is_one_error_line(
+            self, pipeline, tmp_path, capsys):
+        scores = json.loads((pipeline / "class_scores.json").read_text())
+        vid = sorted(scores)[0]
+        scores[vid] = [{"score": 1.0}]
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(scores))
+        err = self._infer_error(pipeline, tmp_path, capsys,
+                                class_scores=str(path))
+        assert vid in err and "entry 0" in err
+
+    def test_empty_feature_file_is_one_error_line(self, pipeline, tmp_path,
+                                                  capsys):
+        feats = tmp_path / "features"
+        feats.mkdir()
+        anns = load_annotations(pipeline / "annotations.json")
+        for vid, ann in anns.videos.items():
+            (feats / f"{vid}.feat").write_bytes(
+                b"CPNF" + (1).to_bytes(4, "little") + bytes(4)
+                + (4).to_bytes(4, "little"))
+        err = self._infer_error(pipeline, tmp_path, capsys,
+                                features_dir=str(feats))
+        assert "T=0" in err
+
     def test_threads_flag_matches_single_thread(self, pipeline, tmp_path):
         cfg = json.loads((pipeline / "run.json").read_text())
         cfg["paths"]["model"] = str(pipeline / "out" / "model.cpnm")

@@ -2,6 +2,7 @@
 synthetic dataset generator."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestFeatures:
         with pytest.raises(FeatureIOError):
             load_features(p)
 
+    @pytest.mark.parametrize("t,c", [(0, 3), (5, 0), (0, 0)])
+    def test_empty_header_rejected(self, tmp_path, t, c):
+        p = tmp_path / "f.feat"
+        p.write_bytes(b"CPNF" + struct.pack("<III", 1, t, c))
+        with pytest.raises(FeatureIOError, match=f"T={t}, C={c}"):
+            load_features(p)
+
 
 class TestClassScores:
     def test_roundtrip_sorted(self, tmp_path):
@@ -179,6 +187,34 @@ class TestClassScores:
         p = tmp_path / "s.json"
         p.write_text(json.dumps({"v": [{"label": "a", "score": 1.5}]}))
         with pytest.raises(ValueError):
+            load_class_scores(p)
+
+    @pytest.mark.parametrize("entry", [
+        {"score": 0.5},               # missing label
+        {"label": "b"},               # missing score
+        {"label": "b", "score": "x"},  # non-numeric score
+        "b",                          # entry is not an object
+    ])
+    def test_bad_entry_names_file_video_and_index(self, tmp_path, entry):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"v": [{"label": "a", "score": 0.9},
+                                       entry]}))
+        with pytest.raises(AnnotationError) as info:
+            load_class_scores(p)
+        assert str(p) in str(info.value)
+        assert "'v'" in str(info.value)
+        assert "entry 1" in str(info.value)
+
+    def test_non_list_entries_rejected(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"v": {"label": "a", "score": 0.9}}))
+        with pytest.raises(AnnotationError, match="'v'.*list"):
+            load_class_scores(p)
+
+    def test_malformed_json_rejected(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('{"v": [')
+        with pytest.raises(AnnotationError, match="malformed JSON"):
             load_class_scores(p)
 
 

@@ -233,6 +233,11 @@ class TestGradients:
         for seed in range(3):
             assert self.fd_worst_error(cfg, seed) < 1e-4
 
+    def test_matches_finite_differences_channel_masked(self):
+        cfg = tiny_config(mask=MaskConfig(p=0.3, granularity="channel"))
+        for seed in range(3):
+            assert self.fd_worst_error(cfg, seed) < 1e-4
+
     def test_dead_path_gradient_is_zero(self):
         """A mask of all zeros cuts the confidence branch off from the
         sampled features: the reduction weights get exactly zero gradient."""

@@ -127,12 +127,15 @@ class TestGtIouMap:
 class TestSamplingMatrix:
     def test_rows_have_at_most_two_entries_summing_to_one(self):
         sm = build_sampling_matrix(10, 10, 4, 0.25)
-        counts = np.diff(sm.weights.indptr)
-        assert counts.max() <= 2
-        sums = np.asarray(sm.weights.sum(axis=1)).ravel()
-        nonzero = sums[counts > 0]
-        np.testing.assert_allclose(nonzero, 1.0, atol=1e-12)
-        assert (sm.weights.data >= 0).all()
+        left, right, w_left, w_right = sm.taps()
+        # every sample point has exactly two taps: one left, one right
+        assert left.shape == right.shape == sm.in_range.shape
+        assert ((0 <= left) & (right < 10)).all()
+        sums = w_left + w_right
+        np.testing.assert_allclose(sums[sm.in_range], 1.0, atol=1e-12)
+        assert (sums[~sm.in_range] == 0.0).all()
+        assert (w_left >= 0).all() and (w_right >= 0).all()
+        assert (right[w_right > 0] == left[w_right > 0] + 1).all()
 
     def test_endpoint_placement_without_expansion(self):
         # N=2, expansion 0, proposal [1,3): points at 1.0 and 3.0
