@@ -20,11 +20,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, metrics, postprocess
 from .config import (ConfigError, RunConfig, build_model_config,
                      load_run_config)
-from .model import (TrainingDivergedError, ModelIOError, forward, load_model,
-                    load_outputs, save_model, save_outputs, train)
+from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
+                    forward, load_model, load_outputs, save_model,
+                    save_outputs, train)
 from .preprocess import remove_long_coverage, resample_short
 from .proposals import proposal_grid
 
@@ -86,6 +89,15 @@ def _write_json(doc: object, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _check_finite(outputs: NetworkOutputs, video_id: str) -> None:
+    """Reject network outputs with a NaN or infinity before anything is
+    written from them."""
+    for f in dataclasses.fields(outputs):
+        if not np.isfinite(getattr(outputs, f.name)).all():
+            raise ValueError(f"video {video_id!r}: network output {f.name} "
+                             f"is not finite")
 
 
 def _map_videos(worker, items: list, threads: int) -> list:
@@ -212,6 +224,7 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
                              f"{cfg.c_in}")
         seq = dataio.rescale_features(raw, cfg.t_scale)
         outputs = forward(params, seq, cfg, training=False)
+        _check_finite(outputs, ann.video_id)
         save_outputs(outputs, out_dir / f"{ann.video_id}.npz")
         props = postprocess.soft_nms(
             postprocess.fuse_scores(outputs, grid, ann.duration),
@@ -279,6 +292,7 @@ def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
             members.append(postprocess.rescale_outputs(
                 load_outputs(path), rc.grid.t_scale, rc.grid.d_max))
         fused = postprocess.ensemble_maps(members, weights)
+        _check_finite(fused, ann.video_id)
         save_outputs(fused, out_dir / f"{ann.video_id}.npz")
         props = postprocess.soft_nms(
             postprocess.fuse_scores(fused, grid, ann.duration),

@@ -226,15 +226,6 @@ def average_map(dets: dict[str, list[Detection]],
 _AN_TICKS = (1, 5, 10, 20, 50, 100)
 
 
-def ar_report_to_dict(curve: ARCurve, auc_value: float) -> dict:
-    return {
-        "an": [int(a) for a in curve.an],
-        "ar": [float(r) for r in curve.ar],
-        "auc": float(auc_value),
-        "ar_at_100": float(curve.ar[-1]),
-    }
-
-
 def format_ar_report(curve: ARCurve, auc_value: float) -> str:
     lines = ["  AN      AR", "  --  ------"]
     for an in _AN_TICKS:

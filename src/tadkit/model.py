@@ -678,6 +678,10 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         cfg = config_from_dict(json.loads(data[12:12 + blob_len].decode()))
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise ModelIOError(f"{path}: bad config blob: {exc}") from exc
+    try:
+        cfg.validate()
+    except (TypeError, ValueError) as exc:
+        raise ModelIOError(f"{path}: invalid config: {exc}") from exc
     offset = 12 + blob_len
     params = {}
     for name, shape, _ in _param_specs(cfg):
@@ -696,6 +700,8 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise ModelIOError(f"{path}: truncated at parameter "
                                f"{name}: {exc}") from exc
         offset += 8 * count
+        if not np.isfinite(arr).all():
+            raise ModelIOError(f"{path}: parameter {name} is not finite")
         params[name] = arr.reshape(dims).copy()
     if offset != len(data):
         raise ModelIOError(f"{path}: {len(data) - offset} trailing bytes")

@@ -1,7 +1,13 @@
 """From network outputs to scored proposals and labeled detections.
 
 Covers the score fusion over the proposal grid, soft-NMS, video-level class
-assignment, multi-model ensembling, and the JSON interchange formats:
+assignment, multi-model ensembling, and the JSON interchange formats.
+
+Candidates stay arrays until suppression is done: ``fuse_scores`` returns
+one ``(n_valid, 3)`` float64 array of ``[start, end, score]`` rows, and
+``soft_nms`` takes any such array-like and builds ``Proposal`` rows only
+for its at most ``max_out`` survivors. A ``Proposal`` is a named tuple, so
+``np.asarray`` of a list of them is that same array. JSON layouts:
 
 * proposals: ``{"results": {"<video_id>": [{"score": s,
   "segment": [start, end]}, ...]}}``
@@ -19,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +36,12 @@ from .proposals import ProposalGrid
 DETECTION_VERSION = "VERSION 1.3"
 
 
-@dataclass(frozen=True)
-class Proposal:
-    """A candidate segment [start, end) in seconds with a fused score."""
+class Proposal(NamedTuple):
+    """A candidate segment [start, end) in seconds with a fused score.
+
+    A proposal is one ``[start, end, score]`` row: ``np.asarray`` of a list
+    of proposals is the ``(n, 3)`` array that ``soft_nms`` takes.
+    """
 
     start: float
     end: float
@@ -65,12 +75,14 @@ class Detection:
 
 
 def fuse_scores(out: NetworkOutputs, grid: ProposalGrid,
-                duration: float) -> list[Proposal]:
-    """One proposal per valid grid cell, scored by the four-factor product
-    p_start[t] * p_end[t + d] * p_cls[d, t] * p_reg[d, t].
+                duration: float) -> np.ndarray:
+    """One candidate per valid grid cell, as an (n_valid, 3) float64 array
+    of [start, end, score] rows in scan order.
 
-    The end boundary probability is read at the last covered snippet t + d.
-    Segments convert to seconds via duration / T.
+    The score is the four-factor product
+    p_start[t] * p_end[t + d] * p_cls[d, t] * p_reg[d, t]; the end boundary
+    probability is read at the last covered snippet t + d. Segments convert
+    to seconds via duration / T.
     """
     t = grid.t_scale
     if out.p_start.shape != (t,) or out.p_end.shape != (t,):
@@ -84,47 +96,56 @@ def fuse_scores(out: NetworkOutputs, grid: ProposalGrid,
     d_idx, t_idx, segs = grid.cell_segments()
     scores = (out.p_start[t_idx] * out.p_end[t_idx + d_idx]
               * out.p_cls[d_idx, t_idx] * out.p_reg[d_idx, t_idx])
-    unit = duration / t
-    return [Proposal(float(s0 * unit), float(s1 * unit), float(sc))
-            for (s0, s1), sc in zip(segs, scores)]
+    return np.column_stack((segs * (duration / t), scores))
 
 
-def soft_nms(props: list[Proposal], sigma: float = 0.4,
-             score_floor: float = 1e-4, max_out: int = 100) -> list[Proposal]:
-    """Gaussian score-decay suppression.
+def soft_nms(props: np.ndarray | list[Proposal], sigma: float = 0.4,
+             score_floor: float = 1e-4,
+             max_out: int = 100) -> list[Proposal]:
+    """Gaussian score-decay suppression over an (n, 3) array-like of
+    [start, end, score] rows (fuse_scores' result, or a list of Proposal).
 
-    Repeatedly select the highest-score remaining proposal and decay every
-    other remaining score by exp(-IoU^2 / sigma); stop after max_out
-    selections or when the best remaining score drops below score_floor.
-    Output is sorted by final score, descending.
+    Repeatedly select the highest-score remaining row (the first one on a
+    tie) and decay every other remaining score by exp(-IoU^2 / sigma); stop
+    after max_out selections or when the best remaining score drops below
+    score_floor. Output is in selection order, which is by final score,
+    descending: each selection is the maximum of scores that only decay.
+
+    Rows must be finite with start < end and score >= 0. Scores only decay
+    and only selected rows decay others, so a row below score_floor can
+    never be selected: such rows are dropped up front and after every decay,
+    and selected rows leave the working arrays the same way, by
+    order-keeping compaction.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not props:
+    if not score_floor >= 0:
+        raise ValueError(f"score_floor must be >= 0, got {score_floor}")
+    rows = np.asarray(props, dtype=np.float64)
+    if rows.size == 0:
         return []
-    starts = np.array([p.start for p in props])
-    ends = np.array([p.end for p in props])
-    scores = np.array([p.score for p in props], dtype=np.float64)
-    alive = np.ones(len(props), dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"proposals must be (n, 3) [start, end, score] "
+                         f"rows, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("proposal rows must be finite")
+    if not ((rows[:, 0] < rows[:, 1]).all() and (rows[:, 2] >= 0).all()):
+        raise ValueError("proposals need start < end and score >= 0")
+    starts, ends, scores = rows[rows[:, 2] >= score_floor].T
+    lengths = ends - starts
     selected: list[Proposal] = []
-    while len(selected) < max_out and alive.any():
-        live = np.flatnonzero(alive)
-        best = live[np.argmax(scores[live])]
-        if scores[best] < score_floor:
-            break
-        selected.append(Proposal(float(starts[best]), float(ends[best]),
-                                 float(scores[best])))
-        alive[best] = False
-        rest = np.flatnonzero(alive)
-        if rest.size:
-            inter = np.clip(np.minimum(ends[rest], ends[best])
-                            - np.maximum(starts[rest], starts[best]),
-                            0.0, None)
-            union = (ends[rest] - starts[rest]) \
-                + (ends[best] - starts[best]) - inter
-            iou = inter / union
-            scores[rest] *= np.exp(-(iou ** 2) / sigma)
-    return sorted(selected, key=lambda p: p.score, reverse=True)
+    while len(selected) < max_out and scores.size:
+        best = int(np.argmax(scores))
+        s0, s1 = starts[best], ends[best]
+        selected.append(Proposal(float(s0), float(s1), float(scores[best])))
+        inter = np.maximum(np.minimum(ends, s1) - np.maximum(starts, s0), 0.0)
+        iou = inter / (lengths + lengths[best] - inter)
+        scores = scores * np.exp(-(iou ** 2) / sigma)
+        keep = scores >= score_floor
+        keep[best] = False
+        starts, ends, scores, lengths = (
+            starts[keep], ends[keep], scores[keep], lengths[keep])
+    return selected
 
 
 def assemble_detections(props: list[Proposal],

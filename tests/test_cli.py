@@ -10,10 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from tadkit import cli
 from tadkit.cli import main
 from tadkit.config import (ConfigError, RunConfig, build_model_config,
                            load_run_config, run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features
+from tadkit.model import load_outputs, save_outputs
 from tadkit.postprocess import load_detections, load_proposals
 
 
@@ -246,15 +248,18 @@ class TestPipeline:
         b = (tmp_path / "again" / "proposals.json").read_bytes()
         assert a == b
 
-    def _infer_error(self, pipeline, tmp_path, capsys, **paths):
+    def _command_error(self, pipeline, tmp_path, capsys, command="infer",
+                     ensemble=None, **paths):
         cfg = json.loads((pipeline / "run.json").read_text())
         cfg["paths"]["model"] = str(pipeline / "out" / "model.cpnm")
         cfg["paths"]["output_dir"] = str(tmp_path / "bad")
         cfg["paths"].update(paths)
+        if ensemble is not None:
+            cfg["ensemble"] = ensemble
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
-        code = main(["infer", "--config", str(cfg_path)])
+        code = main([command, "--config", str(cfg_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -267,7 +272,7 @@ class TestPipeline:
         scores[vid] = [{"score": 1.0}]
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(scores))
-        err = self._infer_error(pipeline, tmp_path, capsys,
+        err = self._command_error(pipeline, tmp_path, capsys,
                                 class_scores=str(path))
         assert vid in err and "entry 0" in err
 
@@ -280,9 +285,41 @@ class TestPipeline:
             (feats / f"{vid}.feat").write_bytes(
                 b"CPNF" + (1).to_bytes(4, "little") + bytes(4)
                 + (4).to_bytes(4, "little"))
-        err = self._infer_error(pipeline, tmp_path, capsys,
+        err = self._command_error(pipeline, tmp_path, capsys,
                                 features_dir=str(feats))
         assert "T=0" in err
+
+    def test_non_finite_network_output_is_one_error_line(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        real_forward = cli.forward
+
+        def nan_forward(*args, **kwargs):
+            out = real_forward(*args, **kwargs)
+            out.p_cls[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "forward", nan_forward)
+        err = self._command_error(pipeline, tmp_path, capsys)
+        assert "video " in err and "p_cls is not finite" in err
+        assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
+        assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    def test_non_finite_ensemble_member_is_one_error_line(
+            self, pipeline, tmp_path, capsys):
+        member = tmp_path / "member"
+        member.mkdir()
+        for src in sorted((pipeline / "out" / "outputs").glob("*.npz")):
+            out = load_outputs(src)
+            out.p_reg[0, 0] = np.inf
+            save_outputs(out, member / src.name)
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="ensemble",
+            ensemble={"inputs": [str(pipeline / "out" / "outputs"),
+                                 str(member)]})
+        assert any(f"video {src.stem!r}" in err
+                   for src in member.glob("*.npz"))
+        assert "p_reg is not finite" in err
+        assert not (tmp_path / "bad" / "proposals.json").exists()
 
     def test_threads_flag_matches_single_thread(self, pipeline, tmp_path):
         cfg = json.loads((pipeline / "run.json").read_text())

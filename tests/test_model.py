@@ -389,6 +389,26 @@ class TestModelIO:
         with pytest.raises(ModelIOError):
             load_model(path)
 
+    def test_invalid_config_rejected(self, tmp_path):
+        # a file that is consistent with its own config, but the config
+        # (even kernel size) is one the network cannot run
+        cfg = tiny_config(kernel_size=2)
+        params = {name: np.zeros(shape)
+                  for name, shape, _ in _param_specs(cfg)}
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, params)
+        with pytest.raises(ModelIOError, match=r"m\.cpnm.*kernel_size"):
+            load_model(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        cfg = tiny_config()
+        params = init_params(cfg, np.random.default_rng(0))
+        params["cls_b"][...] = np.nan
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, params)
+        with pytest.raises(ModelIOError, match=r"m\.cpnm.*cls_b"):
+            load_model(path)
+
     def test_outputs_roundtrip(self, tmp_path):
         cfg = tiny_config()
         rng = np.random.default_rng(1)

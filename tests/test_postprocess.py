@@ -28,25 +28,23 @@ class TestFuseScores:
     def test_all_ones_score_one(self):
         grid = proposal_grid(5, 5)
         props = fuse_scores(outputs_like(5, 5), grid, 5.0)
-        assert all(p.score == 1.0 for p in props)
+        assert (props[:, 2] == 1.0).all()
 
     def test_zero_start_probability_annihilates(self):
         grid = proposal_grid(4, 4)
         out = outputs_like(4, 4)
         out.p_start[0] = 0.0
         props = fuse_scores(out, grid, 4.0)
-        for p in props:
-            if p.start == 0.0:
-                assert p.score == 0.0
+        assert (props[props[:, 0] == 0.0, 2] == 0.0).all()
 
     def test_segment_times_scale_with_duration(self):
         # T=4, 8-second video: cell (d=1, t=0) covers snippets [0, 2),
         # i.e. [0, 4) seconds.
         grid = proposal_grid(4, 4)
         props = fuse_scores(outputs_like(4, 4), grid, 8.0)
-        segs = {(p.start, p.end) for p in props}
+        segs = {(s, e) for s, e in props[:, :2].tolist()}
         assert (0.0, 4.0) in segs
-        assert max(p.end for p in props) == 8.0
+        assert props[:, 1].max() == 8.0
 
     def test_end_probability_read_at_last_covered_snippet(self):
         # one-hot p_end at index 2: only proposals whose last snippet is 2
@@ -56,7 +54,7 @@ class TestFuseScores:
         out.p_end[:] = 0.0
         out.p_end[2] = 1.0
         props = fuse_scores(out, grid, 4.0)
-        survivors = {(p.start, p.end) for p in props if p.score > 0}
+        survivors = {(s, e) for s, e in props[props[:, 2] > 0, :2].tolist()}
         assert survivors == {(0.0, 3.0), (1.0, 3.0), (2.0, 3.0)}
 
     def test_shape_mismatch_rejected(self):
@@ -71,10 +69,17 @@ class TestFuseScores:
                              rng.random((3, 3)), rng.random((3, 3)))
         props = fuse_scores(out, grid, 3.0)
         d_idx, t_idx, _ = grid.cell_segments()
-        for p, d, t in zip(props, d_idx, t_idx):
+        for score, d, t in zip(props[:, 2], d_idx, t_idx):
             want = (out.p_start[t] * out.p_end[t + d]
                     * out.p_cls[d, t] * out.p_reg[d, t])
-            assert p.score == pytest.approx(want, rel=1e-12)
+            assert score == pytest.approx(want, rel=1e-12)
+
+    def test_rows_are_float64_start_end_score(self):
+        grid = proposal_grid(6, 4)
+        props = fuse_scores(outputs_like(6, 4), grid, 3.0)
+        assert props.shape == (grid.n_valid, 3)
+        assert props.dtype == np.float64
+        assert (props[:, 0] < props[:, 1]).all()
 
 
 class TestSoftNms:
@@ -123,6 +128,165 @@ class TestSoftNms:
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError):
             soft_nms([Proposal(0.0, 1.0, 0.5)], sigma=0.0)
+
+    def test_array_rows_match_proposal_list(self):
+        rows = np.array([[0.0, 1.0, 0.9], [0.5, 1.5, 0.8], [3.0, 4.0, 0.2]])
+        as_objects = [Proposal(*r) for r in rows.tolist()]
+        assert soft_nms(rows) == soft_nms(as_objects)
+        assert all(type(p) is Proposal for p in soft_nms(rows))
+
+    def test_ties_keep_selection_order(self):
+        props = [Proposal(float(i), float(i) + 1.0, 0.5) for i in range(4)]
+        assert soft_nms(props) == props
+
+    @pytest.mark.parametrize("score,match", [(np.nan, "finite"),
+                                             (np.inf, "finite"),
+                                             (-0.1, "score >= 0")])
+    def test_bad_score_rejected(self, score, match):
+        props = [Proposal(0.0, 1.0, 0.5), Proposal(2.0, 3.0, score)]
+        with pytest.raises(ValueError, match=match):
+            soft_nms(props)
+
+    def test_reversed_segment_rejected(self):
+        with pytest.raises(ValueError, match="start < end"):
+            soft_nms([Proposal(2.0, 1.0, 0.5)])
+
+    @pytest.mark.parametrize("floor", [-1e-4, np.nan])
+    def test_bad_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="score_floor"):
+            soft_nms([Proposal(0.0, 1.0, 0.5)], score_floor=floor)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            soft_nms([Proposal(0.0, 1.0, 0.5)], sigma=np.nan)
+
+    def test_wrong_row_width_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            soft_nms(np.zeros((4, 2)))
+
+    def test_tiny_sigma_keeps_scores_finite(self):
+        # exp(-1 / 1e-3) underflows to 0, so the duplicate decays to an
+        # exact 0, which a zero floor still selects
+        props = [Proposal(0.0, 2.0, 0.9), Proposal(0.0, 2.0, 0.8),
+                 Proposal(1.0, 3.0, 0.7)]
+        out = soft_nms(props, sigma=1e-3, score_floor=0.0)
+        assert out == [Proposal(0.0, 2.0, 0.9),
+                       Proposal(1.0, 3.0, 0.7 * np.exp(-(1 / 9) / 1e-3)),
+                       Proposal(0.0, 2.0, 0.0)]
+
+
+# The former object-based implementation, kept verbatim as the oracle for
+# the array fast path.
+def oracle_fuse_scores(out: NetworkOutputs, grid,
+                       duration: float) -> list[Proposal]:
+    """One proposal per valid grid cell, scored by the four-factor product
+    p_start[t] * p_end[t + d] * p_cls[d, t] * p_reg[d, t].
+
+    The end boundary probability is read at the last covered snippet t + d.
+    Segments convert to seconds via duration / T.
+    """
+    t = grid.t_scale
+    if out.p_start.shape != (t,) or out.p_end.shape != (t,):
+        raise ValueError(f"boundary vectors must have shape ({t},), got "
+                         f"{out.p_start.shape} / {out.p_end.shape}")
+    if out.p_cls.shape != grid.valid.shape \
+            or out.p_reg.shape != grid.valid.shape:
+        raise ValueError(f"confidence maps must have shape "
+                         f"{grid.valid.shape}, got {out.p_cls.shape} / "
+                         f"{out.p_reg.shape}")
+    d_idx, t_idx, segs = grid.cell_segments()
+    scores = (out.p_start[t_idx] * out.p_end[t_idx + d_idx]
+              * out.p_cls[d_idx, t_idx] * out.p_reg[d_idx, t_idx])
+    unit = duration / t
+    return [Proposal(float(s0 * unit), float(s1 * unit), float(sc))
+            for (s0, s1), sc in zip(segs, scores)]
+
+
+def oracle_soft_nms(props: list[Proposal], sigma: float = 0.4,
+                    score_floor: float = 1e-4,
+                    max_out: int = 100) -> list[Proposal]:
+    """Gaussian score-decay suppression.
+
+    Repeatedly select the highest-score remaining proposal and decay every
+    other remaining score by exp(-IoU^2 / sigma); stop after max_out
+    selections or when the best remaining score drops below score_floor.
+    Output is sorted by final score, descending.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not props:
+        return []
+    starts = np.array([p.start for p in props])
+    ends = np.array([p.end for p in props])
+    scores = np.array([p.score for p in props], dtype=np.float64)
+    alive = np.ones(len(props), dtype=bool)
+    selected: list[Proposal] = []
+    while len(selected) < max_out and alive.any():
+        live = np.flatnonzero(alive)
+        best = live[np.argmax(scores[live])]
+        if scores[best] < score_floor:
+            break
+        selected.append(Proposal(float(starts[best]), float(ends[best]),
+                                 float(scores[best])))
+        alive[best] = False
+        rest = np.flatnonzero(alive)
+        if rest.size:
+            inter = np.clip(np.minimum(ends[rest], ends[best])
+                            - np.maximum(starts[rest], starts[best]),
+                            0.0, None)
+            union = (ends[rest] - starts[rest]) \
+                + (ends[best] - starts[best]) - inter
+            iou = inter / union
+            scores[rest] *= np.exp(-(iou ** 2) / sigma)
+    return sorted(selected, key=lambda p: p.score, reverse=True)
+
+
+def tied_outputs(t: int, seed: int) -> NetworkOutputs:
+    """Random outputs quantised to eighths, so fused scores tie often and
+    every map has exact zeros."""
+    rng = np.random.default_rng(seed)
+
+    def q(shape):
+        return np.round(rng.random(shape) * 8) / 8
+    return NetworkOutputs(q(t), q(t), q((t, t)), q((t, t)))
+
+
+class TestArrayPathMatchesOracle:
+    @pytest.mark.parametrize("t", [64, 100])
+    def test_fuse_rows_equal(self, t):
+        grid = proposal_grid(t, t)
+        for seed in range(3):
+            out = tied_outputs(t, seed)
+            rows = fuse_scores(out, grid, 37.5)
+            want = oracle_fuse_scores(out, grid, 37.5)
+            assert rows.tolist() == [list(p) for p in want]
+
+    # at T=8 all 36 candidates fit in max_out=100, so the selection also
+    # reaches rows that overlap earlier picks almost completely
+    @pytest.mark.parametrize("t", [8, 64, 100])
+    @pytest.mark.parametrize("sigma", [0.4, 1e-3])
+    @pytest.mark.parametrize("floor", [1e-4, 0.0])
+    @pytest.mark.parametrize("max_out", [5, 100])
+    def test_soft_nms_rows_equal(self, t, sigma, floor, max_out):
+        grid = proposal_grid(t, t)
+        for seed in range(2):
+            out = tied_outputs(t, seed)
+            rng = np.random.default_rng(seed)
+            # unquantised maps too, so that rows fall below the floor
+            smooth = NetworkOutputs(rng.random(t) ** 3, rng.random(t) ** 3,
+                                    rng.random((t, t)), rng.random((t, t)))
+            # few nonzero boundaries: with a zero floor, the selection
+            # runs past the positive rows into the exact zeros
+            sparse = NetworkOutputs(out.p_start * (rng.random(t) < 0.05),
+                                    out.p_end * (rng.random(t) < 0.05),
+                                    out.p_cls, out.p_reg)
+            for o in (out, smooth, sparse):
+                got = soft_nms(fuse_scores(o, grid, 50.0), sigma, floor,
+                               max_out)
+                want = oracle_soft_nms(oracle_fuse_scores(o, grid, 50.0),
+                                       sigma, floor, max_out)
+                assert [tuple(p) for p in got] == \
+                    [(p.start, p.end, p.score) for p in want]
 
 
 class TestAssembleDetections:
