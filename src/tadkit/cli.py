@@ -5,13 +5,16 @@ eval-detections, ensemble. All take the global flags --config, --seed,
 --threads and --out; everything else comes from the JSON run config
 (flags win over the file). Per-video stages honor --threads; --threads 1
 guarantees bitwise-reproducible outputs for a fixed seed. Errors exit
-nonzero with a single ``error: <message>`` line on stderr. The CPN_LOG
-environment variable sets the log level (DEBUG, INFO, ...).
+nonzero with a single ``error: <message>`` line on stderr; numpy
+floating-point warnings are silenced, because every non-finite result
+already ends in its own error. The TADKIT_LOG environment variable sets the
+log level (DEBUG, INFO, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import dataclasses
 import json
 import logging
@@ -38,7 +41,7 @@ _ERRORS = (ConfigError, ModelIOError, TrainingDivergedError, ValueError,
 
 
 def _setup_logging() -> None:
-    level = getattr(logging, os.environ.get("CPN_LOG", "WARNING").upper(),
+    level = getattr(logging, os.environ.get("TADKIT_LOG", "WARNING").upper(),
                     logging.WARNING)
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -102,10 +105,13 @@ def _check_finite(outputs: NetworkOutputs, video_id: str) -> None:
 
 def _map_videos(worker, items: list, threads: int) -> list:
     """Apply worker over items, optionally with a thread pool; the result
-    order always follows the input order."""
+    order always follows the input order. Workers run in a copy of the
+    caller's context, so they keep its numpy error state."""
     if threads > 1:
+        context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
+            return list(pool.map(
+                lambda item: context.copy().run(worker, item), items))
     return [worker(item) for item in items]
 
 
@@ -351,8 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
-        rc = _load_config(args)
-        return args.func(rc, args)
+        with np.errstate(all="ignore"):
+            rc = _load_config(args)
+            return args.func(rc, args)
     except _ERRORS as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)

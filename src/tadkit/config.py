@@ -91,9 +91,10 @@ class PostprocessConfig:
     top_k: int = 2
 
     def validate(self) -> None:
-        if self.sigma <= 0:
+        # Written so that NaN, which JSON parsing accepts, fails too.
+        if not self.sigma > 0:
             raise ConfigError("postprocess.sigma must be > 0")
-        if self.score_floor < 0:
+        if not self.score_floor >= 0:
             raise ConfigError("postprocess.score_floor must be >= 0")
         if self.max_out < 1 or self.top_k < 1:
             raise ConfigError("postprocess.max_out and postprocess.top_k "

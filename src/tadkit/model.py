@@ -9,6 +9,14 @@ by the test suite. Shapes are channel-major internally: a batch is
 points per cell, masking them and contracting them with ``reduce_w`` is one
 ``(D*T, T)`` matmul (``SamplingMatrix.reduction_matrix``), so the
 ``(B, C, N, D, T)`` proposal tensor is never built.
+
+Every convolution is one same-padding routine, ``_conv``, over (B, C, D, T)
+maps (the 1-D layers are D = 1), lowered to one small GEMM per kernel tap
+(arXiv 1709.03395): the input is zero-padded once and flattened row by row
+at the padded width, so each tap reads one contiguous slice and the output
+columns that straddle two rows are dropped by a view. The backward pass
+pads the output gradient once into the same layout; the input gradient is
+the forward routine with the kernel flipped and its channel axes swapped.
 """
 
 from __future__ import annotations
@@ -168,80 +176,64 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _pad1d(x: np.ndarray, p: int) -> np.ndarray:
-    b, c, t = x.shape
-    xp = np.zeros((b, c, t + 2 * p))
-    xp[:, :, p:p + t] = x
-    return xp
-
-
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, Ci, T), w (Co, Ci, K) -> (B, Co, T), same padding
-    _, _, t = x.shape
-    k = w.shape[2]
-    xp = _pad1d(x, k // 2)
-    out = np.empty((x.shape[0], w.shape[0], t))
-    out[:] = b[None, :, None]
-    for j in range(k):
-        out += np.tensordot(xp[:, :, j:j + t], w[:, :, j],
-                            axes=([1], [1])).transpose(0, 2, 1)
-    return out
-
-
-def _conv1d_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    _, _, t = x.shape
-    k = w.shape[2]
-    p = k // 2
-    xp = _pad1d(x, p)
-    gb = gout.sum(axis=(0, 2))
-    gw = np.empty_like(w)
-    gxp = np.zeros_like(xp)
-    for j in range(k):
-        xs = xp[:, :, j:j + t]
-        gw[:, :, j] = np.tensordot(gout, xs, axes=([0, 2], [0, 2]))
-        gxp[:, :, j:j + t] += np.tensordot(gout, w[:, :, j],
-                                           axes=([1], [0])).transpose(0, 2, 1)
-    return gxp[:, :, p:p + t], gw, gb
-
-
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
+def _pad(x: np.ndarray, pd: int, pt: int) -> np.ndarray:
+    """(B, C, D, T) maps zero-padded by (pd, pt) on each side, flattened
+    row by row, plus 2*pt spare zeros: (B, C, (D+2pd)*(T+2pt) + 2pt)."""
     b, c, d, t = x.shape
-    xp = np.zeros((b, c, d + 2 * p, t + 2 * p))
-    xp[:, :, p:p + d, p:p + t] = x
+    width = t + 2 * pt
+    n = (d + 2 * pd) * width
+    xp = np.zeros((b, c, n + 2 * pt))
+    xp[:, :, :n].reshape(b, c, d + 2 * pd, width)[
+        :, :, pd:pd + d, pt:pt + t] = x
     return xp
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, Ci, D, T), w (Co, Ci, K, K) -> (B, Co, D, T), same padding
-    _, _, d, t = x.shape
-    k = w.shape[2]
-    xp = _pad2d(x, k // 2)
-    out = np.empty((x.shape[0], w.shape[0], d, t))
-    out[:] = b[None, :, None, None]
-    for kd in range(k):
-        for kt in range(k):
-            out += np.tensordot(xp[:, :, kd:kd + d, kt:kt + t],
-                                w[:, :, kd, kt],
-                                axes=([1], [1])).transpose(0, 3, 1, 2)
-    return out
+def _tap_sum(xp: np.ndarray, w: np.ndarray, b: np.ndarray, d: int,
+             t: int) -> np.ndarray:
+    """b plus, for each tap (a, c) of w (Co, Ci, KD, KT), w[:, :, a, c]
+    times the window of _pad buffer xp at offset a*(T+2pt) + c: (B, Co, D,
+    T). One sample at a time, so its output stays in cache across taps."""
+    _, _, kd, kt = w.shape
+    width = t + 2 * (kt // 2)
+    n = d * width
+    out = np.empty((xp.shape[0], w.shape[0], n))
+    out[:] = b[None, :, None]
+    tmp = np.empty(out.shape[1:])
+    for o, xs in zip(out, xp):
+        for a in range(kd):
+            for c in range(kt):
+                off = a * width + c
+                np.matmul(w[:, :, a, c], xs[:, off:off + n], out=tmp)
+                o += tmp
+    return out.reshape(*out.shape[:2], d, width)[..., :t]
 
 
-def _conv2d_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padding convolution of (B, Ci, D, T) maps with an odd (Co, Ci,
+    KD, KT) kernel plus bias: (B, Co, D, T)."""
+    _, _, kd, kt = w.shape
+    return _tap_sum(_pad(x, kd // 2, kt // 2), w, b, *x.shape[2:])
+
+
+def _conv_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of _conv w.r.t. (x, w, b), from one padded copy of gout."""
     _, _, d, t = x.shape
-    k = w.shape[2]
-    p = k // 2
-    xp = _pad2d(x, p)
-    gb = gout.sum(axis=(0, 2, 3))
+    _, _, kd, kt = w.shape
+    pd, pt = kd // 2, kt // 2
+    width = t + 2 * pt
+    n = d * width
+    xp = _pad(x, pd, pt)
+    gp = _pad(gout, pd, pt)
+    g = gp[:, :, pd * width + pt:][:, :, :n]  # gout, dropped columns zero
     gw = np.empty_like(w)
-    gxp = np.zeros_like(xp)
-    for kd in range(k):
-        for kt in range(k):
-            xs = xp[:, :, kd:kd + d, kt:kt + t]
-            gw[:, :, kd, kt] = np.tensordot(gout, xs,
-                                            axes=([0, 2, 3], [0, 2, 3]))
-            gxp[:, :, kd:kd + d, kt:kt + t] += np.tensordot(
-                gout, w[:, :, kd, kt], axes=([1], [0])).transpose(0, 3, 1, 2)
-    return gxp[:, :, p:p + d, p:p + t], gw, gb
+    for a in range(kd):
+        for c in range(kt):
+            off = a * width + c
+            gw[:, :, a, c] = np.matmul(
+                g, xp[:, :, off:off + n].transpose(0, 2, 1)).sum(axis=0)
+    gx = _tap_sum(gp, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                  np.zeros(w.shape[1]), d, t)
+    return gx, gw, gout.sum(axis=(0, 2, 3))
 
 
 def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
@@ -284,12 +276,17 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
 
     ``masks`` are per-sample draw_mask results stacked to (B, C|1, 1,
     D|1, T|1); being constant over N, they are applied after the N-point
-    reduction.
+    reduction. The 1-D layers run as D = 1 maps and kernels.
     """
-    h1 = np.maximum(_conv1d(x, params["stem1_w"], params["stem1_b"]), 0.0)
-    h2 = np.maximum(_conv1d(h1, params["stem2_w"], params["stem2_b"]), 0.0)
-    p_start = _sigmoid(_conv1d(h2, params["start_w"], params["start_b"])[:, 0])
-    p_end = _sigmoid(_conv1d(h2, params["end_w"], params["end_b"])[:, 0])
+    h1 = np.maximum(_conv(x[:, :, None], params["stem1_w"][:, :, None],
+                          params["stem1_b"]), 0.0)
+    h2 = np.maximum(_conv(h1, params["stem2_w"][:, :, None],
+                          params["stem2_b"]), 0.0)
+    p_start = _sigmoid(_conv(h2, params["start_w"][:, :, None],
+                             params["start_b"])[:, 0, 0])
+    p_end = _sigmoid(_conv(h2, params["end_w"][:, :, None],
+                           params["end_b"])[:, 0, 0])
+    h1, h2 = h1[:, :, 0], h2[:, :, 0]
 
     if masks is not None:
         if masks.shape[2] != 1:
@@ -299,7 +296,7 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     sm = cfg.sampling_matrix()
     reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
                                     params["reduce_b"], masks)
-    hidden2d = np.maximum(_conv2d(reduced, params["pem_w"], params["pem_b"]),
+    hidden2d = np.maximum(_conv(reduced, params["pem_w"], params["pem_b"]),
                           0.0)
     p_cls = _sigmoid(np.tensordot(hidden2d, params["cls_w"],
                                   axes=([1], [0])) + params["cls_b"][0])
@@ -330,26 +327,27 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
             + params["reg_w"][None, :, None, None] * gz_reg[:, None])
     gh2d *= hidden2d > 0.0
 
-    greduced, g["pem_w"], g["pem_b"] = _conv2d_backward(
+    greduced, g["pem_w"], g["pem_b"] = _conv_backward(
         gh2d, reduced, params["pem_w"])
     gh2, g["reduce_w"], g["reduce_b"] = _proposal_reduce_backward(
         greduced, h2, fwd["sm"], fwd["w_r"], fwd["masks"])
 
-    gz_start = (g_start * p_start * (1.0 - p_start))[:, None, :]
-    gz_end = (g_end * p_end * (1.0 - p_end))[:, None, :]
-    gh2_s, g["start_w"], g["start_b"] = _conv1d_backward(
-        gz_start, h2, params["start_w"])
-    gh2_e, g["end_w"], g["end_b"] = _conv1d_backward(
-        gz_end, h2, params["end_w"])
-    gh2 = gh2 + gh2_s + gh2_e
+    h1, h2 = h1[:, :, None], h2[:, :, None]  # D = 1 maps
+    gz_start = (g_start * p_start * (1.0 - p_start))[:, None, None, :]
+    gz_end = (g_end * p_end * (1.0 - p_end))[:, None, None, :]
+    gh2_s, g["start_w"], g["start_b"] = _conv_backward(
+        gz_start, h2, params["start_w"][:, :, None])
+    gh2_e, g["end_w"], g["end_b"] = _conv_backward(
+        gz_end, h2, params["end_w"][:, :, None])
+    gh2 = gh2[:, :, None] + gh2_s + gh2_e
 
     gh2 *= h2 > 0.0
-    gh1, g["stem2_w"], g["stem2_b"] = _conv1d_backward(
-        gh2, h1, params["stem2_w"])
+    gh1, g["stem2_w"], g["stem2_b"] = _conv_backward(
+        gh2, h1, params["stem2_w"][:, :, None])
     gh1 *= h1 > 0.0
-    _, g["stem1_w"], g["stem1_b"] = _conv1d_backward(
-        gh1, fwd["x"], params["stem1_w"])
-    return {name: g[name] for name in params}
+    _, g["stem1_w"], g["stem1_b"] = _conv_backward(
+        gh1, fwd["x"][:, :, None], params["stem1_w"][:, :, None])
+    return {name: g[name].reshape(params[name].shape) for name in params}
 
 
 def forward(params: dict, features: np.ndarray, cfg: ModelConfig,

@@ -27,7 +27,6 @@ class PreprocessConfig:
     enable_resample_short: bool = True
     enable_resize: bool = False
     enable_shift: bool = False
-    seed: int = 0
 
     def validate(self) -> None:
         if not (0.0 < self.theta_long <= 1.0):

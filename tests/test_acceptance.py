@@ -22,7 +22,7 @@ from tadkit.dataio import (AnnotationSet, Instance, SynthConfig,
                            VideoAnnotation, rescale_features, synth_dataset)
 from tadkit.metrics import (DEFAULT_TIOU, ap_at_tiou, ar_at_an, ar_curve,
                             auc, average_map, proposal_ground_truth)
-from tadkit.model import (ModelConfig, _conv1d, _conv2d, _stack_masks,
+from tadkit.model import (ModelConfig, _conv, _stack_masks,
                           batch_loss, draw_step_noise, forward, init_params,
                           loss_and_gradients, train)
 from tadkit.postprocess import Detection, Proposal, fuse_scores, soft_nms
@@ -297,17 +297,18 @@ def _kink_margin(params, batch, cfg, noise):
     probe and corrupt the measurement without any gradient being wrong.
     """
     x = np.stack([s.features for s in batch])
-    z1 = _conv1d(x, params["stem1_w"], params["stem1_b"])
+    z1 = _conv(x[:, :, None], params["stem1_w"][:, :, None],
+               params["stem1_b"])
     h1 = np.maximum(z1, 0.0)
-    z2 = _conv1d(h1, params["stem2_w"], params["stem2_b"])
-    h2 = np.maximum(z2, 0.0)
+    z2 = _conv(h1, params["stem2_w"][:, :, None], params["stem2_b"])
+    h2 = np.maximum(z2, 0.0)[:, :, 0]
     sampled = sample_proposal_features(h2, cfg.sampling_matrix())
     masks = _stack_masks(noise)
     if masks is not None:
         sampled = sampled * masks
     reduced = np.tensordot(sampled, params["reduce_w"], axes=([2], [0])) \
         + params["reduce_b"][0]
-    z3 = _conv2d(reduced, params["pem_w"], params["pem_b"])
+    z3 = _conv(reduced, params["pem_w"], params["pem_b"])
     return min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min())
 
 

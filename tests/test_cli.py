@@ -6,16 +6,21 @@ package and takes a few seconds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tadkit
 from tadkit import cli
 from tadkit.cli import main
 from tadkit.config import (ConfigError, RunConfig, build_model_config,
                            load_run_config, run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features
-from tadkit.model import load_outputs, save_outputs
+from tadkit.model import load_model, load_outputs, save_model, save_outputs
 from tadkit.postprocess import load_detections, load_proposals
 
 
@@ -83,6 +88,12 @@ class TestRunConfig:
             run_config_from_dict(
                 {"ensemble": {"inputs": ["a", "b"], "weights": [1.0]}})
 
+    @pytest.mark.parametrize("key", ["sigma", "score_floor"])
+    def test_postprocess_nan_rejected(self, key):
+        raw = json.loads(f'{{"postprocess": {{"{key}": NaN}}}}')
+        with pytest.raises(ConfigError, match=f"postprocess.{key}"):
+            run_config_from_dict(raw)
+
 
 class TestMainErrors:
     def test_no_command_exits_nonzero(self, capsys):
@@ -114,6 +125,17 @@ class TestMainErrors:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = main(["synth", "--seed", "-3", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_nan_postprocess_value_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "run.json"
+        bad.write_text('{"postprocess": {"sigma": NaN}}')
+        out = tmp_path / "out"
+        code = main(["synth", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "postprocess.sigma" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +342,33 @@ class TestPipeline:
                    for src in member.glob("*.npz"))
         assert "p_reg is not finite" in err
         assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_model_is_one_stderr_line(self, pipeline, tmp_path,
+                                                  threads):
+        """A finite model whose weights overflow float64 inside the network
+        fails on its non-finite outputs without numpy warnings. Runs in a
+        fresh interpreter, because pytest captures warnings in-process."""
+        cfg, params = load_model(pipeline / "out" / "model.cpnm")
+        for name in ("stem1_w", "stem2_w", "pem_w"):
+            params[name] *= 1e120
+        model = tmp_path / "huge.cpnm"
+        save_model(model, cfg, params)
+        run = json.loads((pipeline / "run.json").read_text())
+        run["paths"]["model"] = str(model)
+        run["paths"]["output_dir"] = str(tmp_path / "bad")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(run))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(tadkit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tadkit.cli", "infer", "--config",
+             str(cfg_path), "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "is not finite" in proc.stderr
 
     def test_threads_flag_matches_single_thread(self, pipeline, tmp_path):
         cfg = json.loads((pipeline / "run.json").read_text())

@@ -197,13 +197,12 @@ class TestPemLoss:
 
 
 class TestGradients:
-    def fd_worst_error(self, cfg, seed, entries_per_param=4):
+    def fd_worst_error(self, cfg, seed, entries_per_param=4, h=1e-4):
         rng = np.random.default_rng(seed)
         params = perturbed_params(cfg, rng)
         batch = [random_sample(rng, cfg) for _ in range(2)]
         noise = draw_step_noise(batch, cfg, rng, training=True)
         _, grads = loss_and_gradients(params, batch, cfg, noise)
-        h = 1e-4
         worst = 0.0
         for name in params:
             flat = params[name].ravel()
@@ -237,6 +236,14 @@ class TestGradients:
         cfg = tiny_config(mask=MaskConfig(p=0.3, granularity="channel"))
         for seed in range(3):
             assert self.fd_worst_error(cfg, seed) < 1e-4
+
+    def test_matches_finite_differences_kernel_5(self):
+        # At k=5 a ReLU pre-activation lies within 1e-4 of its kink at
+        # seed 0 (3.9e-5), where a 1e-4 central difference is invalid; a
+        # 1e-6 probe stays on one side of every kink at these seeds.
+        cfg = tiny_config(kernel_size=5)
+        for seed in range(3):
+            assert self.fd_worst_error(cfg, seed, h=1e-6) < 1e-4
 
     def test_dead_path_gradient_is_zero(self):
         """A mask of all zeros cuts the confidence branch off from the
