@@ -8,9 +8,8 @@ post-processing with video-level class assignment, model ensembling, and
 AR@AN / AUC / mAP evaluation.
 """
 
-from .config import (ConfigError, EnsembleConfig, EvalConfig, GridConfig,
-                     PathsConfig, PostprocessConfig, RunConfig, TrainConfig,
-                     build_model_config, load_run_config,
+from .config import (ConfigError, EnsembleConfig, EvalConfig, PathsConfig,
+                     PostprocessConfig, RunConfig, load_run_config,
                      run_config_from_dict)
 from .dataio import (AnnotationError, AnnotationSet, FeatureIOError,
                      Instance, SynthConfig, SynthesisError, VideoAnnotation,
@@ -35,30 +34,29 @@ from .preprocess import (PreprocessConfig, instance_coverage,
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
                         build_sampling_matrix, draw_mask, gt_iou_map,
                         mask_proposals, proposal_grid,
-                        sample_proposal_features, segment_iou)
+                        sample_proposal_features)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnotationError", "AnnotationSet", "ARCurve", "BoundaryLabels",
     "ConfigError", "Detection", "EnsembleConfig", "EvalConfig",
-    "FeatureIOError", "GridConfig", "Instance", "MapReport", "MaskConfig",
-    "ModelConfig", "ModelIOError", "NetworkOutputs", "PathsConfig",
-    "PostprocessConfig", "PreprocessConfig", "Proposal", "ProposalGrid",
-    "RunConfig", "SamplingMatrix", "SynthConfig", "SynthesisError",
-    "TrainConfig", "TrainingDivergedError", "TrainSample", "VideoAnnotation",
-    "ap_at_tiou", "ar_at_an", "ar_curve", "assemble_detections", "auc",
-    "average_map", "boundary_labels", "build_model_config",
-    "build_sampling_matrix", "compute_gradients", "detection_ground_truth",
-    "draw_mask", "ensemble_maps", "forward", "fuse_scores", "gt_iou_map",
-    "init_params", "instance_coverage", "interval_union_length",
-    "load_annotations", "load_class_scores", "load_detections",
-    "load_features", "load_model", "load_outputs", "load_proposals",
-    "load_run_config", "mask_proposals", "pem_loss", "proposal_grid",
-    "proposal_ground_truth", "remove_long_coverage", "resample_short",
-    "rescale_features", "rescale_outputs", "resize_instance",
-    "run_config_from_dict", "save_annotations", "save_class_scores",
-    "save_detections", "save_features", "save_model", "save_outputs",
-    "save_proposals", "segment_iou", "soft_nms", "synth_dataset",
-    "tem_loss", "temporal_shift", "train",
+    "FeatureIOError", "Instance", "MapReport", "MaskConfig", "ModelConfig",
+    "ModelIOError", "NetworkOutputs", "PathsConfig", "PostprocessConfig",
+    "PreprocessConfig", "Proposal", "ProposalGrid", "RunConfig",
+    "SamplingMatrix", "SynthConfig", "SynthesisError",
+    "TrainingDivergedError", "TrainSample", "VideoAnnotation", "ap_at_tiou",
+    "ar_at_an", "ar_curve", "assemble_detections", "auc", "average_map",
+    "boundary_labels", "build_sampling_matrix", "compute_gradients",
+    "detection_ground_truth", "draw_mask", "ensemble_maps", "forward",
+    "fuse_scores", "gt_iou_map", "init_params", "instance_coverage",
+    "interval_union_length", "load_annotations", "load_class_scores",
+    "load_detections", "load_features", "load_model", "load_outputs",
+    "load_proposals", "load_run_config", "mask_proposals", "pem_loss",
+    "proposal_grid", "proposal_ground_truth", "remove_long_coverage",
+    "resample_short", "rescale_features", "rescale_outputs",
+    "resize_instance", "run_config_from_dict", "save_annotations",
+    "save_class_scores", "save_detections", "save_features", "save_model",
+    "save_outputs", "save_proposals", "soft_nms", "synth_dataset", "tem_loss",
+    "temporal_shift", "train",
 ]

@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics, postprocess
-from .config import (ConfigError, RunConfig, build_model_config,
-                     load_run_config)
+from .config import ConfigError, RunConfig, load_run_config
 from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
                     forward, load_model, load_outputs, save_model,
                     save_outputs, train)
 from .preprocess import remove_long_coverage, resample_short
-from .proposals import proposal_grid
+from .proposals import ProposalGrid, proposal_grid
 
 log = logging.getLogger("tadkit")
 
@@ -92,15 +91,6 @@ def _write_json(doc: object, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _check_finite(outputs: NetworkOutputs, video_id: str) -> None:
-    """Reject network outputs with a NaN or infinity before anything is
-    written from them."""
-    for f in dataclasses.fields(outputs):
-        if not np.isfinite(getattr(outputs, f.name)).all():
-            raise ValueError(f"video {video_id!r}: network output {f.name} "
-                             f"is not finite")
 
 
 def _map_videos(worker, items: list, threads: int) -> list:
@@ -164,7 +154,9 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     features = {vid: dataio.load_features(_feature_path(rc, out, vid))
                 for vid in train_ids}
     c_in = next(iter(features.values())).shape[1]
-    cfg = build_model_config(rc, c_in)
+    cfg = dataclasses.replace(
+        rc.model, c_in=c_in, seed=rc.seed,
+        mask=dataclasses.replace(rc.model.mask, seed=rc.seed))
     log.info("training on %d videos, c_in=%d", len(train_ids), c_in)
     params, history = train(anns, features, cfg, rc.preprocess)
     save_model(out / "model.cpnm", cfg, params)
@@ -213,6 +205,20 @@ def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
     return written
 
 
+def _propose(outputs: NetworkOutputs, ann: dataio.VideoAnnotation,
+             grid: ProposalGrid, rc: RunConfig, out_dir: Path
+             ) -> tuple[str, list[postprocess.Proposal]]:
+    """The per-video tail of infer and ensemble: check the outputs, save
+    them under out_dir, and fuse and suppress them into proposals."""
+    outputs.check_finite(f"video {ann.video_id!r}")
+    save_outputs(outputs, out_dir / f"{ann.video_id}.npz")
+    pc = rc.postprocess
+    props = postprocess.soft_nms(
+        postprocess.fuse_scores(outputs, grid, ann.duration),
+        pc.sigma, pc.score_floor, pc.max_out)
+    return ann.video_id, props
+
+
 def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
     cfg, params = load_model(_model_path(rc, out))
@@ -220,7 +226,6 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
     grid = proposal_grid(cfg.t_scale, cfg.d_max)
     out_dir = out / "outputs"
     out_dir.mkdir(exist_ok=True)
-    pc = rc.postprocess
 
     def run_one(ann: dataio.VideoAnnotation):
         raw = dataio.load_features(_feature_path(rc, out, ann.video_id))
@@ -229,13 +234,8 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
                              f"{raw.shape[1]} channels, model expects "
                              f"{cfg.c_in}")
         seq = dataio.rescale_features(raw, cfg.t_scale)
-        outputs = forward(params, seq, cfg, training=False)
-        _check_finite(outputs, ann.video_id)
-        save_outputs(outputs, out_dir / f"{ann.video_id}.npz")
-        props = postprocess.soft_nms(
-            postprocess.fuse_scores(outputs, grid, ann.duration),
-            pc.sigma, pc.score_floor, pc.max_out)
-        return ann.video_id, props
+        return _propose(forward(params, seq, cfg, training=False), ann,
+                        grid, rc, out_dir)
 
     results = dict(sorted(_map_videos(run_one, selected, args.threads)))
     written = _emit_proposals(results, rc, out)
@@ -284,26 +284,22 @@ def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("ensemble.inputs is empty")
     weights = list(ens.weights) if ens.weights else [1.0] * len(ens.inputs)
     selected = _subset_annotations(rc, out)
-    grid = proposal_grid(rc.grid.t_scale, rc.grid.d_max)
+    t_scale, d_max = rc.model.t_scale, rc.model.d_max
+    grid = proposal_grid(t_scale, d_max)
     out_dir = out / "outputs"
     out_dir.mkdir(exist_ok=True)
-    pc = rc.postprocess
 
     def run_one(ann: dataio.VideoAnnotation):
         members = []
         for d in ens.inputs:
-            path = Path(d) / f"{ann.video_id}.npz"
-            if not path.exists():
-                raise ValueError(f"missing network outputs: {path}")
-            members.append(postprocess.rescale_outputs(
-                load_outputs(path), rc.grid.t_scale, rc.grid.d_max))
-        fused = postprocess.ensemble_maps(members, weights)
-        _check_finite(fused, ann.video_id)
-        save_outputs(fused, out_dir / f"{ann.video_id}.npz")
-        props = postprocess.soft_nms(
-            postprocess.fuse_scores(fused, grid, ann.duration),
-            pc.sigma, pc.score_floor, pc.max_out)
-        return ann.video_id, props
+            try:
+                member = load_outputs(Path(d) / f"{ann.video_id}.npz")
+            except ValueError as exc:
+                raise ValueError(f"video {ann.video_id!r}: {exc}") from exc
+            members.append(postprocess.rescale_outputs(member, t_scale,
+                                                       d_max))
+        return _propose(postprocess.ensemble_maps(members, weights), ann,
+                        grid, rc, out_dir)
 
     results = dict(sorted(_map_videos(run_one, selected, args.threads)))
     written = _emit_proposals(results, rc, out)

@@ -3,15 +3,28 @@
 The file is a single object with a top-level ``seed`` and one section per
 concern: ``paths``, ``synth``, ``grid``, ``mask``, ``model``,
 ``preprocess``, ``postprocess``, ``eval``, ``ensemble``. Parsing is strict:
-an unknown key anywhere is rejected by name (``section.key``). In commands
-the top-level seed overrides any per-section seed field, so one value
-controls a whole run; flags override the file.
+an unknown key anywhere, or a value of the wrong JSON type, is rejected by
+name (``section.key``). In commands the top-level seed overrides any
+per-section seed field, so one value controls a whole run; flags override
+the file.
+
+Three sections make up the network's one config, ``RunConfig.model``, a
+``model.ModelConfig``:
+
+* ``grid``: ``t_scale``, ``d_max``, ``n_samples``, ``expansion``;
+* ``model``: ``c_h``, ``kernel_size``, ``lambda_cls``, ``lambda_reg``,
+  ``learning_rate``, ``momentum``, ``epochs``, ``batch_size``;
+* ``mask``: ``p``, ``granularity``, ``seed`` (its ``MaskConfig``).
+
+``train`` fills in ``c_in`` from the feature files and both seeds from the
+top-level seed. ``ModelConfig.validate`` is the one check of these values,
+so a run config and a model file accept the same ones.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,50 +50,6 @@ class PathsConfig:
 
     def validate(self) -> None:
         pass
-
-
-@dataclass
-class GridConfig:
-    t_scale: int = 100
-    d_max: int = 100
-    n_samples: int = 32
-    expansion: float = 0.25
-
-    def validate(self) -> None:
-        if self.t_scale < 1 or not (1 <= self.d_max <= self.t_scale):
-            raise ConfigError(f"grid: need 1 <= d_max <= t_scale, got "
-                              f"d_max={self.d_max}, t_scale={self.t_scale}")
-        if self.n_samples < 2:
-            raise ConfigError("grid.n_samples must be >= 2")
-        if self.expansion < 0:
-            raise ConfigError("grid.expansion must be >= 0")
-
-
-@dataclass
-class TrainConfig:
-    """Network and optimizer settings; grid geometry lives in GridConfig."""
-
-    c_h: int = 32
-    kernel_size: int = 3
-    lambda_cls: float = 1.0
-    lambda_reg: float = 1.0
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 10
-    batch_size: int = 16
-
-    def validate(self) -> None:
-        if self.c_h < 1 or self.batch_size < 1:
-            raise ConfigError("model.c_h and model.batch_size must be >= 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ConfigError("model.kernel_size must be a positive odd "
-                              "number")
-        if self.epochs < 0:
-            raise ConfigError("model.epochs must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("model.momentum must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("model.learning_rate must be > 0")
 
 
 @dataclass
@@ -132,9 +101,7 @@ class RunConfig:
     seed: int = 0
     paths: PathsConfig = field(default_factory=PathsConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
-    mask: MaskConfig = field(default_factory=MaskConfig)
-    model: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -143,8 +110,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for section in ("paths", "synth", "grid", "mask", "model",
-                        "preprocess", "postprocess", "eval", "ensemble"):
+        for section in ("paths", "synth", "model", "preprocess",
+                        "postprocess", "eval", "ensemble"):
             try:
                 getattr(self, section).validate()
             except ConfigError:
@@ -156,78 +123,93 @@ class RunConfig:
 _SECTIONS = {
     "paths": PathsConfig,
     "synth": SynthConfig,
-    "grid": GridConfig,
     "mask": MaskConfig,
-    "model": TrainConfig,
-    "preprocess": PreprocessConfig,
     "postprocess": PostprocessConfig,
     "eval": EvalConfig,
     "ensemble": EnsembleConfig,
 }
 
+# The ModelConfig fields that the grid and model sections set; the mask
+# section becomes its MaskConfig, and c_in and the seeds are set by train.
+_MODEL_KEYS = {
+    "grid": ("t_scale", "d_max", "n_samples", "expansion"),
+    "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
+              "learning_rate", "momentum", "epochs", "batch_size"),
+}
 
-def _section_from_dict(cls: type, name: str, raw: object):
+
+def _typed(where: str, value: object, tp: object) -> object:
+    """value checked against the field type tp. A bool fills only a bool
+    field, an integral float an int field (as an int), an int a float
+    field, and a JSON list a list or tuple field of the right length."""
+    origin = typing.get_origin(tp)
+    if origin is not None:
+        args = typing.get_args(tp)
+        if isinstance(value, (list, tuple)) \
+                and (origin is list or len(value) == len(args)):
+            return origin(_typed(f"{where}[{i}]", v,
+                                 args[0] if origin is list else args[i])
+                          for i, v in enumerate(value))
+    elif isinstance(value, bool) != (tp is bool):
+        pass  # JSON true/false is no number, and a number no bool
+    elif isinstance(value, tp) or (tp is float and isinstance(value, int)):
+        return value
+    elif tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    name = tp.__name__ if origin is None else str(tp)
+    raise ConfigError(f"{where} must be {name}, got {value!r}")
+
+
+def _section_from_dict(name: str, raw: object,
+                       types: dict[str, object]) -> dict:
+    """The keyword arguments that one JSON section sets, each checked
+    against its type in ``types``; any other key is rejected by name."""
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a JSON object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key: {name}.{key}")
-        # JSON has no tuples; coerce lists for tuple-valued fields.
-        if isinstance(value, list) and isinstance(known[key].default, tuple):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+        kwargs[key] = _typed(f"{name}.{key}", value, types[key])
+    return kwargs
 
 
-# The preprocess section exposes the resize range as two scalars.
-_PREPROCESS_KEYS = frozenset({
-    "theta_long", "theta_short", "repeat_factor", "resize_lo", "resize_hi",
-    "shift_fraction", "enable_remove_long", "enable_resample_short",
-    "enable_resize", "enable_shift",
-})
-
-
-def _preprocess_from_dict(name: str, raw: object) -> PreprocessConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be a JSON object")
-    for key in raw:
-        if key not in _PREPROCESS_KEYS:
-            raise ConfigError(f"unknown config key: {name}.{key}")
-    default_range = PreprocessConfig().resize_factor_range
-    kwargs = {k: v for k, v in raw.items()
-              if k not in ("resize_lo", "resize_hi")}
-    kwargs["resize_factor_range"] = (
-        raw.get("resize_lo", default_range[0]),
-        raw.get("resize_hi", default_range[1]),
-    )
-    try:
-        return PreprocessConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+def _preprocess_from_dict(raw: object) -> PreprocessConfig:
+    """The preprocess section exposes the resize range as two scalars."""
+    types = typing.get_type_hints(PreprocessConfig)
+    del types["resize_factor_range"]
+    types.update(resize_lo=float, resize_hi=float)
+    kwargs = _section_from_dict("preprocess", raw, types)
+    lo, hi = PreprocessConfig().resize_factor_range
+    kwargs["resize_factor_range"] = (kwargs.pop("resize_lo", lo),
+                                     kwargs.pop("resize_hi", hi))
+    return PreprocessConfig(**kwargs)
 
 
 def run_config_from_dict(raw: object) -> RunConfig:
-    """Build a RunConfig from parsed JSON, rejecting unknown keys."""
+    """Build a RunConfig from parsed JSON, rejecting unknown keys and
+    values of the wrong type."""
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
-    kwargs = {}
+    kwargs: dict[str, object] = {}
+    model: dict[str, object] = {}
+    model_types = typing.get_type_hints(ModelConfig)
     for key, value in raw.items():
         if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError("seed must be an integer")
-            kwargs["seed"] = value
+            kwargs["seed"] = _typed("seed", value, int)
+        elif key in _MODEL_KEYS:
+            model.update(_section_from_dict(
+                key, value, {k: model_types[k] for k in _MODEL_KEYS[key]}))
         elif key == "preprocess":
-            kwargs[key] = _preprocess_from_dict(key, value)
+            kwargs[key] = _preprocess_from_dict(value)
         elif key in _SECTIONS:
-            kwargs[key] = _section_from_dict(_SECTIONS[key], key, value)
+            cls = _SECTIONS[key]
+            types = typing.get_type_hints(cls)
+            (model if key == "mask" else kwargs)[key] = cls(
+                **_section_from_dict(key, value, types))
         else:
             raise ConfigError(f"unknown config key: {key}")
-    cfg = RunConfig(**kwargs)
+    cfg = RunConfig(model=ModelConfig(**model), **kwargs)
     cfg.validate()
     return cfg
 
@@ -239,26 +221,3 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
     return run_config_from_dict(raw)
-
-
-def build_model_config(rc: RunConfig, c_in: int) -> ModelConfig:
-    """Assemble the network config from the grid/mask/model sections; the
-    input channel count comes from the feature files."""
-    mask = dataclasses.replace(rc.mask, seed=rc.seed)
-    return ModelConfig(
-        c_in=c_in,
-        c_h=rc.model.c_h,
-        kernel_size=rc.model.kernel_size,
-        t_scale=rc.grid.t_scale,
-        d_max=rc.grid.d_max,
-        n_samples=rc.grid.n_samples,
-        expansion=rc.grid.expansion,
-        mask=mask,
-        lambda_cls=rc.model.lambda_cls,
-        lambda_reg=rc.model.lambda_reg,
-        learning_rate=rc.model.learning_rate,
-        momentum=rc.model.momentum,
-        epochs=rc.model.epochs,
-        batch_size=rc.model.batch_size,
-        seed=rc.seed,
-    )

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dataio import AnnotationSet, Instance
 from .postprocess import Detection, Proposal
+from .proposals import _pairwise_iou
 
 DEFAULT_TIOU = np.linspace(0.5, 0.95, 10)
 DEFAULT_AN_MAX = 100
@@ -75,15 +76,6 @@ def detection_ground_truth(anns: AnnotationSet,
             if subset is None or ann.subset == subset}
 
 
-def _pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU matrix between (n, 2) and (m, 2) segment arrays."""
-    inter = np.clip(np.minimum(a[:, None, 1], b[None, :, 1])
-                    - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0, None)
-    union = (a[:, 1] - a[:, 0])[:, None] + (b[:, 1] - b[:, 0])[None, :] \
-        - inter
-    return inter / union
-
-
 def _ranked_segments(props: list[Proposal], limit: int) -> np.ndarray:
     ranked = sorted(props, key=lambda p: p.score, reverse=True)[:limit]
     return np.array([[p.start, p.end] for p in ranked],
@@ -93,22 +85,7 @@ def _ranked_segments(props: list[Proposal], limit: int) -> np.ndarray:
 def ar_at_an(props: dict[str, list[Proposal]], gt: dict[str, np.ndarray],
              an: int, thresholds: np.ndarray | None = None) -> float:
     """Average recall with each video truncated to its top-an proposals."""
-    if an < 1:
-        raise ValueError(f"an must be >= 1, got {an}")
-    th = DEFAULT_TIOU if thresholds is None else np.asarray(thresholds)
-    total = sum(len(g) for g in gt.values())
-    if total == 0:
-        raise ValueError("no ground-truth instances to evaluate against")
-    recalled = np.zeros(len(th))
-    for vid, g in gt.items():
-        if len(g) == 0:
-            continue
-        kept = _ranked_segments(props.get(vid, []), an)
-        if len(kept) == 0:
-            continue
-        best = _pairwise_iou(np.asarray(g, np.float64), kept).max(axis=1)
-        recalled += (best[None, :] >= th[:, None]).sum(axis=1)
-    return float(recalled.mean() / total)
+    return float(ar_curve(props, gt, an, thresholds).ar[-1])
 
 
 def ar_curve(props: dict[str, list[Proposal]], gt: dict[str, np.ndarray],

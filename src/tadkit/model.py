@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,12 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ModelConfig:
-    c_in: int
+    """The network: grid geometry, layer widths, masking, losses and
+    optimizer. ``c_in`` is the feature channel count; for a config from a
+    run config, the ``tadkit train`` command sets it from the feature files.
+    """
+
+    c_in: int = 1
     c_h: int = 32
     kernel_size: int = 3
     t_scale: int = 100
@@ -67,6 +73,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # Written so that NaN, which JSON parsing accepts, fails too.
         if min(self.c_in, self.c_h, self.t_scale, self.d_max,
                self.n_samples, self.batch_size) < 1:
             raise ValueError("c_in, c_h, t_scale, d_max, n_samples and "
@@ -79,6 +86,17 @@ class ModelConfig:
             raise ValueError("n_samples must be >= 2")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for name in ("expansion", "lambda_cls", "lambda_reg"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got "
+                             f"{self.momentum}")
         self.mask.validate()
 
     def grid(self) -> ProposalGrid:
@@ -107,6 +125,14 @@ class NetworkOutputs:
     p_end: np.ndarray
     p_cls: np.ndarray
     p_reg: np.ndarray
+
+    def check_finite(self, where: str) -> None:
+        """Reject outputs with a NaN or infinity; the error starts with
+        where and names the field."""
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{where}: network output {f.name} is not "
+                                 f"finite")
 
 
 @dataclass
@@ -713,6 +739,29 @@ def save_outputs(outputs: NetworkOutputs, path: str | Path) -> None:
 
 
 def load_outputs(path: str | Path) -> NetworkOutputs:
-    with np.load(path) as data:
-        return NetworkOutputs(data["p_start"], data["p_end"],
-                              data["p_cls"], data["p_reg"])
+    """Read one video's network outputs, as written by save_outputs.
+
+    Raises ValueError naming the file when the archive is unreadable, a
+    field is missing, the boundary vectors are not one (T,) shape, the maps
+    not one (D, T) shape with D <= T, or a value is not finite.
+    """
+    try:
+        with np.load(path) as data:
+            out = NetworkOutputs(*(data[f.name].astype(np.float64, copy=False)
+                                   for f in fields(NetworkOutputs)))
+    except (OSError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable network outputs: {exc}") \
+            from exc
+    t = out.p_start.shape
+    if len(t) != 1 or out.p_end.shape != t:
+        raise ValueError(f"{path}: p_start and p_end must share one (T,) "
+                         f"shape, got {t} and {out.p_end.shape}")
+    d = out.p_cls.shape
+    if len(d) != 2 or d[1:] != t or not 1 <= d[0] <= t[0] \
+            or out.p_reg.shape != d:
+        raise ValueError(f"{path}: p_cls and p_reg must share one (D, T) "
+                         f"shape with D <= T = {t[0]}, got {d} and "
+                         f"{out.p_reg.shape}")
+    out.check_finite(str(path))
+    return out

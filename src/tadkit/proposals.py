@@ -53,14 +53,12 @@ def proposal_grid(t_scale: int, d_max: int) -> ProposalGrid:
     return ProposalGrid(t_scale, d_max, valid)
 
 
-def segment_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Temporal intersection-over-union of two [start, end] segments."""
-    if a[0] >= a[1] or b[0] >= b[1]:
-        raise ValueError(f"degenerate segment: {a} vs {b}")
-    inter = min(a[1], b[1]) - max(a[0], b[0])
-    if inter <= 0:
-        return 0.0
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+def _pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU matrix between (n, 2) and (m, 2) segment arrays."""
+    inter = np.clip(np.minimum(a[:, None, 1], b[None, :, 1])
+                    - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0, None)
+    union = (a[:, 1] - a[:, 0])[:, None] + (b[:, 1] - b[:, 0])[None, :] \
+        - inter
     return inter / union
 
 
@@ -74,16 +72,10 @@ def gt_iou_map(grid: ProposalGrid, ann: VideoAnnotation) -> np.ndarray:
     if not ann.instances:
         return gt
     d_idx, t_idx, segs = grid.cell_segments()
-    starts, ends = segs[:, 0], segs[:, 1]
-    lengths = ends - starts
+    instances = np.array([[i.start, i.end] for i in ann.instances])
     scale = grid.t_scale / ann.duration
-    best = np.zeros(len(starts))
-    for inst in ann.instances:
-        s, e = inst.start * scale, inst.end * scale
-        inter = np.clip(np.minimum(ends, e) - np.maximum(starts, s), 0.0, None)
-        union = lengths + (e - s) - inter
-        np.maximum(best, inter / union, out=best)
-    gt[d_idx, t_idx] = best
+    # Instances on the first axis, so numpy's inner loops run over cells.
+    gt[d_idx, t_idx] = _pairwise_iou(instances * scale, segs).max(axis=0)
     return gt
 
 

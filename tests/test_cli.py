@@ -17,8 +17,8 @@ import pytest
 import tadkit
 from tadkit import cli
 from tadkit.cli import main
-from tadkit.config import (ConfigError, RunConfig, build_model_config,
-                           load_run_config, run_config_from_dict)
+from tadkit.config import (ConfigError, RunConfig, load_run_config,
+                           run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features
 from tadkit.model import load_model, load_outputs, save_model, save_outputs
 from tadkit.postprocess import load_detections, load_proposals
@@ -71,9 +71,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
-    def test_model_config_inherits_run_seed(self):
-        rc = run_config_from_dict({"seed": 9, "mask": {"p": 0.2}})
-        mc = build_model_config(rc, c_in=4)
+    def test_model_config_inherits_run_seed(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "seed": 9, "mask": {"p": 0.2, "seed": 3},
+            "synth": {"n_videos": 5, "t_raw_range": [20, 30], "channels": 4},
+            "grid": {"t_scale": 8, "d_max": 8, "n_samples": 4},
+            "model": {"c_h": 2, "epochs": 0}}))
+        for command in ("synth", "train"):
+            assert main([command, "--config", str(path), "--out",
+                         str(tmp_path)]) == 0
+        mc, _ = load_model(tmp_path / "model.cpnm")
+        assert mc.c_in == 4
         assert mc.seed == 9
         assert mc.mask.seed == 9 and mc.mask.p == 0.2
 
@@ -94,6 +103,38 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"postprocess.{key}"):
             run_config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, where", [
+        ({"model": {"c_h": "8"}}, r"model\.c_h must be int"),
+        ({"mask": {"p": "0.1"}}, r"mask\.p must be float"),
+        ({"postprocess": {"max_out": None}},
+         r"postprocess\.max_out must be int"),
+        ({"grid": {"t_scale": 64.5, "d_max": 64}},
+         r"grid\.t_scale must be int"),
+        ({"model": {"epochs": True}}, r"model\.epochs must be int"),
+    ])
+    def test_wrong_json_type_rejected(self, raw, where):
+        with pytest.raises(ConfigError, match=where):
+            run_config_from_dict(raw)
+
+    def test_json_numbers_fill_numeric_fields(self):
+        rc = run_config_from_dict({"grid": {"t_scale": 64.0, "d_max": 64},
+                                   "model": {"learning_rate": 1}})
+        assert rc.model.t_scale == 64 and type(rc.model.t_scale) is int
+        assert rc.model.learning_rate == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "learning_rate", "NaN"), ("model", "learning_rate", "0"),
+        ("model", "learning_rate", "-1"), ("model", "momentum", "-0.1"),
+        ("model", "momentum", "1.0"), ("model", "momentum", "NaN"),
+        ("grid", "expansion", "NaN"), ("grid", "expansion", "-0.5"),
+        ("model", "lambda_cls", "NaN"), ("model", "lambda_cls", "-1"),
+        ("model", "lambda_reg", "NaN"), ("model", "lambda_reg", "-1"),
+    ])
+    def test_bad_network_value_rejected(self, section, key, value):
+        raw = json.loads(f'{{"{section}": {{"{key}": {value}}}}}')
+        with pytest.raises(ConfigError, match=key):
+            run_config_from_dict(raw)
+
 
 class TestMainErrors:
     def test_no_command_exits_nonzero(self, capsys):
@@ -109,6 +150,16 @@ class TestMainErrors:
         assert code == 1
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_wrong_json_type_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "run.json"
+        bad.write_text(json.dumps({"model": {"c_h": "8"}}))
+        out = tmp_path / "out"
+        code = main(["synth", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "model.c_h" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["synth", "--config", str(tmp_path / "none.json"),
@@ -341,6 +392,37 @@ class TestPipeline:
         assert any(f"video {src.stem!r}" in err
                    for src in member.glob("*.npz"))
         assert "p_reg is not finite" in err
+        assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    @pytest.mark.parametrize("defect", [
+        "missing_key", "truncated", "vector_shape", "map_rows",
+        "map_taller_than_wide", "non_finite"])
+    def test_bad_ensemble_member_is_one_error_line(
+            self, pipeline, tmp_path, capsys, defect):
+        member = tmp_path / "member"
+        member.mkdir()
+        for src in sorted((pipeline / "out" / "outputs").glob("*.npz")):
+            with np.load(src) as data:
+                arrays = dict(data)
+            t = len(arrays["p_start"])
+            if defect == "missing_key":
+                del arrays["p_reg"]
+            elif defect == "vector_shape":
+                arrays["p_end"] = arrays["p_end"][:-1]
+            elif defect == "map_rows":
+                arrays["p_reg"] = arrays["p_reg"][:5]
+            elif defect == "map_taller_than_wide":
+                arrays["p_cls"] = arrays["p_reg"] = np.full((t + 1, t), 0.5)
+            elif defect == "non_finite":
+                arrays["p_start"][0] = np.nan
+            np.savez(member / src.name, **arrays)
+            if defect == "truncated":
+                data = (member / src.name).read_bytes()
+                (member / src.name).write_bytes(data[:len(data) // 2])
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="ensemble",
+            ensemble={"inputs": [str(member)]})
+        assert str(member) in err
         assert not (tmp_path / "bad" / "proposals.json").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])

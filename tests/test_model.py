@@ -407,6 +407,22 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=r"m\.cpnm.*kernel_size"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", np.nan), ("learning_rate", 0.0),
+        ("learning_rate", -1.0), ("momentum", -0.1), ("momentum", 1.0),
+        ("momentum", 1.5), ("momentum", np.nan), ("expansion", np.nan),
+        ("expansion", -0.5), ("lambda_cls", np.nan), ("lambda_cls", -1.0),
+        ("lambda_reg", np.nan), ("lambda_reg", -1.0),
+    ])
+    def test_invalid_training_value_rejected(self, tmp_path, key, value):
+        cfg = tiny_config(**{key: value})
+        params = {name: np.zeros(shape)
+                  for name, shape, _ in _param_specs(cfg)}
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, params)
+        with pytest.raises(ModelIOError, match=rf"m\.cpnm.*{key}"):
+            load_model(path)
+
     def test_non_finite_parameter_rejected(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(0))

@@ -7,8 +7,19 @@ import pytest
 from tadkit.dataio import Instance, VideoAnnotation
 from tadkit.proposals import (MaskConfig, build_sampling_matrix, draw_mask,
                               gt_iou_map, mask_proposals, proposal_grid,
-                              sample_adjoint, sample_proposal_features,
-                              segment_iou)
+                              sample_adjoint, sample_proposal_features)
+
+
+def segment_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Scalar temporal IoU of two [start, end] segments: the oracle for
+    gt_iou_map, which computes it for all cells at once."""
+    if a[0] >= a[1] or b[0] >= b[1]:
+        raise ValueError(f"degenerate segment: {a} vs {b}")
+    inter = min(a[1], b[1]) - max(a[0], b[0])
+    if inter <= 0:
+        return 0.0
+    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+    return inter / union
 
 
 def ann_with(duration, segments, subset="training"):
