@@ -10,7 +10,7 @@ decorrelate neighbouring cells.
 import numpy as np
 
 from tadkit import (MaskConfig, build_sampling_matrix, draw_mask,
-                    mask_proposals, proposal_grid, sample_proposal_features)
+                    proposal_grid, sample_proposal_features)
 
 # --- the grid ---------------------------------------------------------------
 grid = proposal_grid(t_scale=8, d_max=8)
@@ -54,33 +54,41 @@ print(f"cell (d={d}, t={t}) sample points on a ramp: "
       f"{np.round(sampled[0, :, d, t], 3)}")
 
 # --- masking ----------------------------------------------------------------
+# a training step draws one mask per sample for its (C, D, T) proposal map;
+# proposal granularity returns (1, D, T): one value per cell, shared by
+# every channel; inference (forward) never draws one
 cfg = MaskConfig(p=0.1, granularity="proposal")
 rng = np.random.default_rng(0)
-tensor = np.ones((16, 4, 8, 8))
-masked = mask_proposals(tensor, cfg, training=True, rng=rng)
+features = np.ones((16, 8, 8))                     # (C, D, T)
+mask = draw_mask(features.shape, cfg, rng)         # (1, D, T)
+masked = features * mask
 
-dropped = np.all(masked == 0, axis=(0, 1))         # per-(d, t) cell
-print(f"\nmasking p={cfg.p}: dropped {dropped.sum()} of "
-      f"{dropped.size} cells this draw")
+dropped = mask[0] == 0                             # per-(d, t) cell
+print(f"\nmasking p={cfg.p}: mask shape {mask.shape}, dropped "
+      f"{dropped.sum()} of {dropped.size} cells this draw")
 print(f"survivor value 1/(1-p) = {1 / (1 - cfg.p):.6f}; "
       f"observed {np.unique(masked[masked > 0])}")
 
-# the scaling keeps the expected tensor unchanged over many draws
+# the scaling keeps the expected map unchanged over many draws
 mean = np.mean([
-    mask_proposals(tensor, cfg, training=True, rng=rng).mean()
+    (features * draw_mask(features.shape, cfg, rng)).mean()
     for _ in range(500)
 ])
 print(f"mean over 500 draws: {mean:.4f} (expectation 1.0)")
 
-# outside training the call is the identity, bit for bit
-inference = mask_proposals(tensor, cfg, training=False)
-assert inference.tobytes() == tensor.tobytes()
-print("inference path is the identity: OK")
+# a mask is the same for all N points of a cell, so masking the sampled
+# points before the N-point reduction equals masking the reduced map after
+# it, which is what the network does
+h = np.random.default_rng(2).normal(size=(16, 8))  # (C, T)
+sampled = sample_proposal_features(h, sm)          # (C, N, D, T)
+before = np.tensordot(sampled * mask[:, None], w, axes=(1, 0))
+after = (h @ w_r.T).reshape(16, 8, 8) * mask
+assert np.allclose(before, after, rtol=1e-12, atol=1e-12)
+print("masking commutes with the N-point reduction: OK")
 
-# channel granularity zeroes whole channels instead of cells
-ch = draw_mask((16, 4, 8, 8), MaskConfig(p=0.3, granularity="channel"),
+# channel granularity zeroes whole channels instead of cells: (C, 1, 1)
+ch = draw_mask(features.shape, MaskConfig(p=0.3, granularity="channel"),
                np.random.default_rng(1))
-flat = ch.reshape(16, -1)
-assert all(len(np.unique(row)) == 1 for row in flat)
-print(f"channel granularity: {int((flat[:, 0] == 0).sum())} of 16 "
+assert ch.shape == (16, 1, 1)
+print(f"channel granularity: {int((ch == 0).sum())} of 16 "
       f"channels dropped")

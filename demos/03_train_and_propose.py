@@ -35,7 +35,7 @@ for entry in log:
 # pick a validation video and run the inference path
 ann = anns.subset("validation")[0]
 x = rescale_features(features[ann.video_id], cfg.t_scale)
-out = forward(params, x, cfg)  # training=False: masking is off
+out = forward(params, x, cfg)  # inference: never masked
 
 grid = proposal_grid(cfg.t_scale, cfg.d_max)
 fused = fuse_scores(out, grid, ann.duration)

@@ -22,8 +22,8 @@ from .metrics import (ARCurve, MapReport, ap_at_tiou, ar_at_an, ar_curve,
 from .model import (BoundaryLabels, ModelConfig, ModelIOError,
                     NetworkOutputs, TrainingDivergedError, TrainSample,
                     boundary_labels, compute_gradients, forward, init_params,
-                    load_model, load_outputs, pem_loss, save_model,
-                    save_outputs, tem_loss, train)
+                    load_model, load_outputs, save_model, save_outputs,
+                    train)
 from .postprocess import (Detection, Proposal, assemble_detections,
                           ensemble_maps, fuse_scores, load_detections,
                           load_proposals, rescale_outputs, save_detections,
@@ -33,8 +33,7 @@ from .preprocess import (PreprocessConfig, instance_coverage,
                          resample_short, resize_instance, temporal_shift)
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
                         build_sampling_matrix, draw_mask, gt_iou_map,
-                        mask_proposals, proposal_grid,
-                        sample_proposal_features)
+                        proposal_grid, sample_proposal_features)
 
 __version__ = "0.1.0"
 
@@ -52,11 +51,10 @@ __all__ = [
     "fuse_scores", "gt_iou_map", "init_params", "instance_coverage",
     "interval_union_length", "load_annotations", "load_class_scores",
     "load_detections", "load_features", "load_model", "load_outputs",
-    "load_proposals", "load_run_config", "mask_proposals", "pem_loss",
-    "proposal_grid", "proposal_ground_truth", "remove_long_coverage",
-    "resample_short", "rescale_features", "rescale_outputs",
-    "resize_instance", "run_config_from_dict", "save_annotations",
-    "save_class_scores", "save_detections", "save_features", "save_model",
-    "save_outputs", "save_proposals", "soft_nms", "synth_dataset", "tem_loss",
-    "temporal_shift", "train",
+    "load_proposals", "load_run_config", "proposal_grid",
+    "proposal_ground_truth", "remove_long_coverage", "resample_short",
+    "rescale_features", "rescale_outputs", "resize_instance",
+    "run_config_from_dict", "save_annotations", "save_class_scores",
+    "save_detections", "save_features", "save_model", "save_outputs",
+    "save_proposals", "soft_nms", "synth_dataset", "temporal_shift", "train",
 ]

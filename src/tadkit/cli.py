@@ -154,9 +154,7 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     features = {vid: dataio.load_features(_feature_path(rc, out, vid))
                 for vid in train_ids}
     c_in = next(iter(features.values())).shape[1]
-    cfg = dataclasses.replace(
-        rc.model, c_in=c_in, seed=rc.seed,
-        mask=dataclasses.replace(rc.model.mask, seed=rc.seed))
+    cfg = dataclasses.replace(rc.model, c_in=c_in, seed=rc.seed)
     log.info("training on %d videos, c_in=%d", len(train_ids), c_in)
     params, history = train(anns, features, cfg, rc.preprocess)
     save_model(out / "model.cpnm", cfg, params)
@@ -219,6 +217,22 @@ def _propose(outputs: NetworkOutputs, ann: dataio.VideoAnnotation,
     return ann.video_id, props
 
 
+def _propose_all(run_one, selected: list[dataio.VideoAnnotation],
+                 rc: RunConfig, out: Path, threads: int
+                 ) -> tuple[dict[str, list[postprocess.Proposal]], list[str]]:
+    """Run the per-video worker over selected, then write the proposal
+    files. When anything fails, the outputs/<video>.npz files of selected
+    are removed before the error propagates: _map_videos has waited for
+    every worker by then, so none is still writing."""
+    try:
+        results = dict(sorted(_map_videos(run_one, selected, threads)))
+        return results, _emit_proposals(results, rc, out)
+    except BaseException:
+        for ann in selected:
+            (out / "outputs" / f"{ann.video_id}.npz").unlink(missing_ok=True)
+        raise
+
+
 def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
     cfg, params = load_model(_model_path(rc, out))
@@ -234,11 +248,9 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
                              f"{raw.shape[1]} channels, model expects "
                              f"{cfg.c_in}")
         seq = dataio.rescale_features(raw, cfg.t_scale)
-        return _propose(forward(params, seq, cfg, training=False), ann,
-                        grid, rc, out_dir)
+        return _propose(forward(params, seq, cfg), ann, grid, rc, out_dir)
 
-    results = dict(sorted(_map_videos(run_one, selected, args.threads)))
-    written = _emit_proposals(results, rc, out)
+    results, written = _propose_all(run_one, selected, rc, out, args.threads)
     print(f"inferred {len(results)} videos; wrote outputs/ and "
           f"{', '.join(written)}")
     return 0
@@ -301,8 +313,7 @@ def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
         return _propose(postprocess.ensemble_maps(members, weights), ann,
                         grid, rc, out_dir)
 
-    results = dict(sorted(_map_videos(run_one, selected, args.threads)))
-    written = _emit_proposals(results, rc, out)
+    results, written = _propose_all(run_one, selected, rc, out, args.threads)
     print(f"ensembled {len(ens.inputs)} models over {len(results)} videos; "
           f"wrote outputs/ and {', '.join(written)}")
     return 0

@@ -14,11 +14,13 @@ Three sections make up the network's one config, ``RunConfig.model``, a
 * ``grid``: ``t_scale``, ``d_max``, ``n_samples``, ``expansion``;
 * ``model``: ``c_h``, ``kernel_size``, ``lambda_cls``, ``lambda_reg``,
   ``learning_rate``, ``momentum``, ``epochs``, ``batch_size``;
-* ``mask``: ``p``, ``granularity``, ``seed`` (its ``MaskConfig``).
+* ``mask``: ``p``, ``granularity`` (its ``MaskConfig``).
 
-``train`` fills in ``c_in`` from the feature files and both seeds from the
-top-level seed. ``ModelConfig.validate`` is the one check of these values,
-so a run config and a model file accept the same ones.
+``train`` fills in ``c_in`` from the feature files and ``seed`` from the
+top-level seed; that one seed also draws every training mask.
+``ModelConfig.validate`` is the one check of these values, and
+``dataio.typed_fields`` the one type check, so a run config and a model
+file accept the same ones.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataio import SUBSETS, SynthConfig
+from .dataio import SUBSETS, SynthConfig, typed_fields, typed_value
 from .model import ModelConfig
 from .preprocess import PreprocessConfig
 from .proposals import MaskConfig
@@ -130,7 +132,7 @@ _SECTIONS = {
 }
 
 # The ModelConfig fields that the grid and model sections set; the mask
-# section becomes its MaskConfig, and c_in and the seeds are set by train.
+# section becomes its MaskConfig, and c_in and the seed are set by train.
 _MODEL_KEYS = {
     "grid": ("t_scale", "d_max", "n_samples", "expansion"),
     "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
@@ -138,48 +140,12 @@ _MODEL_KEYS = {
 }
 
 
-def _typed(where: str, value: object, tp: object) -> object:
-    """value checked against the field type tp. A bool fills only a bool
-    field, an integral float an int field (as an int), an int a float
-    field, and a JSON list a list or tuple field of the right length."""
-    origin = typing.get_origin(tp)
-    if origin is not None:
-        args = typing.get_args(tp)
-        if isinstance(value, (list, tuple)) \
-                and (origin is list or len(value) == len(args)):
-            return origin(_typed(f"{where}[{i}]", v,
-                                 args[0] if origin is list else args[i])
-                          for i, v in enumerate(value))
-    elif isinstance(value, bool) != (tp is bool):
-        pass  # JSON true/false is no number, and a number no bool
-    elif isinstance(value, tp) or (tp is float and isinstance(value, int)):
-        return value
-    elif tp is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    name = tp.__name__ if origin is None else str(tp)
-    raise ConfigError(f"{where} must be {name}, got {value!r}")
-
-
-def _section_from_dict(name: str, raw: object,
-                       types: dict[str, object]) -> dict:
-    """The keyword arguments that one JSON section sets, each checked
-    against its type in ``types``; any other key is rejected by name."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be a JSON object")
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in types:
-            raise ConfigError(f"unknown config key: {name}.{key}")
-        kwargs[key] = _typed(f"{name}.{key}", value, types[key])
-    return kwargs
-
-
 def _preprocess_from_dict(raw: object) -> PreprocessConfig:
     """The preprocess section exposes the resize range as two scalars."""
     types = typing.get_type_hints(PreprocessConfig)
     del types["resize_factor_range"]
     types.update(resize_lo=float, resize_hi=float)
-    kwargs = _section_from_dict("preprocess", raw, types)
+    kwargs = typed_fields("preprocess", raw, types)
     lo, hi = PreprocessConfig().resize_factor_range
     kwargs["resize_factor_range"] = (kwargs.pop("resize_lo", lo),
                                      kwargs.pop("resize_hi", hi))
@@ -194,21 +160,23 @@ def run_config_from_dict(raw: object) -> RunConfig:
     kwargs: dict[str, object] = {}
     model: dict[str, object] = {}
     model_types = typing.get_type_hints(ModelConfig)
-    for key, value in raw.items():
-        if key == "seed":
-            kwargs["seed"] = _typed("seed", value, int)
-        elif key in _MODEL_KEYS:
-            model.update(_section_from_dict(
-                key, value, {k: model_types[k] for k in _MODEL_KEYS[key]}))
-        elif key == "preprocess":
-            kwargs[key] = _preprocess_from_dict(value)
-        elif key in _SECTIONS:
-            cls = _SECTIONS[key]
-            types = typing.get_type_hints(cls)
-            (model if key == "mask" else kwargs)[key] = cls(
-                **_section_from_dict(key, value, types))
-        else:
-            raise ConfigError(f"unknown config key: {key}")
+    try:
+        for key, value in raw.items():
+            if key == "seed":
+                kwargs["seed"] = typed_value("seed", value, int)
+            elif key in _MODEL_KEYS:
+                model.update(typed_fields(
+                    key, value, {k: model_types[k] for k in _MODEL_KEYS[key]}))
+            elif key == "preprocess":
+                kwargs[key] = _preprocess_from_dict(value)
+            elif key in _SECTIONS:
+                cls = _SECTIONS[key]
+                (model if key == "mask" else kwargs)[key] = cls(
+                    **typed_fields(key, value, typing.get_type_hints(cls)))
+            else:
+                raise ConfigError(f"unknown config key: {key}")
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
     cfg = RunConfig(model=ModelConfig(**model), **kwargs)
     cfg.validate()
     return cfg

@@ -16,6 +16,9 @@ Conventions used across the package:
   u32 T, u32 C, then T*C IEEE-754 float32 values, time-major.
 * Class scores are JSON: ``{"<video_id>": [{"label": ..., "score": ...}]}``
   with scores sorted non-increasing and labels unique per video.
+* A JSON config object (a run config section, a model file's config blob)
+  is read by ``typed_fields``: each key must name a dataclass field and
+  its value must fit the field's type.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +51,45 @@ class FeatureIOError(IOError):
 
 class SynthesisError(ValueError):
     """Synthetic-dataset config is invalid or infeasible."""
+
+
+def typed_value(where: str, value: object, tp: object) -> object:
+    """value checked against the field type tp. A bool fills only a bool
+    field, an integral float an int field (as an int), an int a float
+    field, and a JSON list a list or tuple field of the right length.
+    Raises TypeError naming where."""
+    origin = typing.get_origin(tp)
+    if origin is not None:
+        args = typing.get_args(tp)
+        if isinstance(value, (list, tuple)) \
+                and (origin is list or len(value) == len(args)):
+            return origin(typed_value(f"{where}[{i}]", v,
+                                      args[0] if origin is list else args[i])
+                          for i, v in enumerate(value))
+    elif isinstance(value, bool) != (tp is bool):
+        pass  # JSON true/false is no number, and a number no bool
+    elif isinstance(value, tp) or (tp is float and isinstance(value, int)):
+        return value
+    elif tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    name = tp.__name__ if origin is None else str(tp)
+    raise TypeError(f"{where} must be {name}, got {value!r}")
+
+
+def typed_fields(where: str, raw: object, types: dict[str, object]) -> dict:
+    """The keyword arguments that the JSON object raw sets, each checked by
+    typed_value against its type in types. Raises TypeError naming the key,
+    prefixed by ``where.`` when where is set, for an unknown key or a value
+    of the wrong type, and for a raw that is no JSON object."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{where or 'config'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in types:
+            raise TypeError(f"unknown config key: {prefix}{key}")
+        kwargs[key] = typed_value(prefix + key, value, types[key])
+    return kwargs
 
 
 @dataclass(frozen=True)

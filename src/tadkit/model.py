@@ -1,6 +1,5 @@
 """The trainable proposal network: boundary head, confidence heads over the
-masked dense proposal tensor, losses, analytic gradients, and the training
-loop.
+dense proposal map, losses, analytic gradients, and the training loop.
 
 Everything runs in float64 numpy. The backward pass is written by hand for
 this fixed architecture and is validated against central finite differences
@@ -9,6 +8,10 @@ by the test suite. Shapes are channel-major internally: a batch is
 points per cell, masking them and contracting them with ``reduce_w`` is one
 ``(D*T, T)`` matmul (``SamplingMatrix.reduction_matrix``), so the
 ``(B, C, N, D, T)`` proposal tensor is never built.
+
+Masks exist only inside a training step: ``draw_step_noise`` draws one per
+sample, stacked to ``(B, C|1, D|1, T|1)``, and ``_forward_batch`` applies
+them after the N-point reduction. ``forward`` is inference and never masks.
 
 Every convolution is one same-padding routine, ``_conv``, over (B, C, D, T)
 maps (the 1-D layers are D = 1), lowered to one small GEMM per kernel tap
@@ -23,13 +26,15 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import AnnotationSet, VideoAnnotation, rescale_features
+from .dataio import (AnnotationSet, VideoAnnotation, rescale_features,
+                     typed_fields)
 from .preprocess import PreprocessConfig, resize_instance, temporal_shift
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
                         build_sampling_matrix, draw_mask, gt_iou_map,
@@ -107,14 +112,16 @@ class ModelConfig:
                                      self.n_samples, self.expansion)
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    mask = MaskConfig(**d.pop("mask"))
-    return ModelConfig(mask=mask, **d)
+def config_from_dict(d: object) -> ModelConfig:
+    """The ModelConfig of a model file's JSON config blob, each key checked
+    against its field type; TypeError names a bad one. A ``mask.seed``,
+    which older files store, is dropped: the run's seed draws the masks."""
+    types = typing.get_type_hints(ModelConfig)
+    kwargs = typed_fields("", d, {**types, "mask": dict})
+    mask = dict(kwargs.pop("mask", {}))
+    mask.pop("seed", None)
+    return ModelConfig(mask=MaskConfig(**typed_fields(
+        "mask", mask, typing.get_type_hints(MaskConfig))), **kwargs)
 
 
 @dataclass
@@ -267,7 +274,7 @@ def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
     """Sample N points per proposal cell, mask, and reduce over N with
     weights ``w`` plus bias ``b``: (B, C, T) -> (B, C, D, T).
 
-    ``masks`` (B, C|1, D|1, T|1) must not vary over N, so masking commutes
+    ``masks`` (B, C|1, D|1, T|1) do not vary over N, so masking commutes
     with the reduction and the whole layer is one matmul with
     W_r = sum_n w[n] W_n. Returns the output and W_r.
     """
@@ -300,9 +307,9 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     """Run the full network on a (B, C_in, T) batch; returns all
     intermediates needed by the backward pass.
 
-    ``masks`` are per-sample draw_mask results stacked to (B, C|1, 1,
-    D|1, T|1); being constant over N, they are applied after the N-point
-    reduction. The 1-D layers run as D = 1 maps and kernels.
+    ``masks`` are per-sample draw_mask results stacked to (B, C|1, D|1,
+    T|1), or None; being constant over N, they are applied after the
+    N-point reduction. The 1-D layers run as D = 1 maps and kernels.
     """
     h1 = np.maximum(_conv(x[:, :, None], params["stem1_w"][:, :, None],
                           params["stem1_b"]), 0.0)
@@ -314,11 +321,6 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
                            params["end_b"])[:, 0, 0])
     h1, h2 = h1[:, :, 0], h2[:, :, 0]
 
-    if masks is not None:
-        if masks.shape[2] != 1:
-            raise ValueError("proposal masks must be constant over the N "
-                             f"sample points, got shape {masks.shape}")
-        masks = masks[:, :, 0]  # (B, C|1, D|1, T|1)
     sm = cfg.sampling_matrix()
     reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
                                     params["reduce_b"], masks)
@@ -376,27 +378,17 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
     return {name: g[name].reshape(params[name].shape) for name in params}
 
 
-def forward(params: dict, features: np.ndarray, cfg: ModelConfig,
-            training: bool = False,
-            rng: np.random.Generator | None = None) -> NetworkOutputs:
-    """Run one (T, C_in) sequence through the network.
-
-    Deterministic in inference mode; masking is applied between sampling and
-    the reduction only when training (with a fresh mask from ``rng``).
-    """
+def forward(params: dict, features: np.ndarray,
+            cfg: ModelConfig) -> NetworkOutputs:
+    """Run one (T, C_in) sequence through the network for inference:
+    deterministic and unmasked."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.shape != (cfg.t_scale, cfg.c_in):
         raise ValueError(
             f"expected features of shape ({cfg.t_scale}, {cfg.c_in}), "
             f"got {feats.shape}")
     x = np.ascontiguousarray(feats.T)[None]
-    masks = None
-    if training and cfg.mask.p > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(cfg.mask.seed)
-        shape = (cfg.c_h, cfg.n_samples, cfg.d_max, cfg.t_scale)
-        masks = draw_mask(shape, cfg.mask, rng)[None]
-    fwd = _forward_batch(params, x, cfg, masks)
+    fwd = _forward_batch(params, x, cfg, None)
     return NetworkOutputs(fwd["p_start"][0], fwd["p_end"][0],
                           fwd["p_cls"][0], fwd["p_reg"][0])
 
@@ -444,14 +436,6 @@ def _balanced_bce(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def tem_loss(p_start: np.ndarray, p_end: np.ndarray,
-             labels: BoundaryLabels) -> float:
-    """Balanced boundary loss, summed over the start and end heads."""
-    loss_s, _ = _balanced_bce(p_start, labels.start)
-    loss_e, _ = _balanced_bce(p_end, labels.end)
-    return loss_s + loss_e
-
-
 def _pem_cls(p_cls: np.ndarray, gt: np.ndarray,
              valid: np.ndarray) -> tuple[float, np.ndarray]:
     """Balanced logistic loss over valid cells, positives at gt > 0.9."""
@@ -488,17 +472,6 @@ def _pem_reg(p_reg: np.ndarray, gt: np.ndarray,
     return float((diff ** 2).mean()), grad
 
 
-def pem_loss(p_cls: np.ndarray, p_reg: np.ndarray, gt: np.ndarray,
-             grid: ProposalGrid, rng: np.random.Generator,
-             lambda_cls: float = 1.0, lambda_reg: float = 1.0) -> float:
-    """Confidence-map loss: balanced classification plus stratified-sample
-    regression, weighted by the two lambdas."""
-    cells = _sample_reg_cells(gt, grid.valid, rng)
-    loss_c, _ = _pem_cls(p_cls, gt, grid.valid)
-    loss_r, _ = _pem_reg(p_reg, gt, cells)
-    return lambda_cls * loss_c + lambda_reg * loss_r
-
-
 # ---------------------------------------------------------------------------
 # Gradients
 
@@ -507,31 +480,22 @@ class StepNoise:
     """Realized randomness of one training step, fixed across the forward
     and backward passes (and across finite-difference probes)."""
 
-    masks: list[np.ndarray | None]
+    masks: np.ndarray | None  # (B, C|1, D|1, T|1); None when p == 0
     reg_cells: list[np.ndarray]
 
 
 def draw_step_noise(batch: list[TrainSample], cfg: ModelConfig,
-                    rng: np.random.Generator,
-                    training: bool = True) -> StepNoise:
-    """Draw one mask and one regression cell set per sample."""
+                    rng: np.random.Generator) -> StepNoise:
+    """Draw one mask (when p > 0) and one regression cell set per sample."""
     grid = cfg.grid()
-    shape = (cfg.c_h, cfg.n_samples, cfg.d_max, cfg.t_scale)
-    masks: list[np.ndarray | None] = []
+    shape = (cfg.c_h, cfg.d_max, cfg.t_scale)
+    masks = []
     cells = []
     for sample in batch:
-        if training and cfg.mask.p > 0.0:
+        if cfg.mask.p > 0.0:
             masks.append(draw_mask(shape, cfg.mask, rng))
-        else:
-            masks.append(None)
         cells.append(_sample_reg_cells(sample.gt_map, grid.valid, rng))
-    return StepNoise(masks, cells)
-
-
-def _stack_masks(noise: StepNoise) -> np.ndarray | None:
-    if all(m is None for m in noise.masks):
-        return None
-    return np.stack(noise.masks)
+    return StepNoise(np.stack(masks) if masks else None, cells)
 
 
 def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
@@ -567,7 +531,7 @@ def batch_loss(params: dict, batch: list[TrainSample], cfg: ModelConfig,
                noise: StepNoise) -> float:
     """Mean total loss of a batch under fixed realized randomness."""
     x = np.stack([s.features for s in batch])
-    fwd = _forward_batch(params, x, cfg, _stack_masks(noise))
+    fwd = _forward_batch(params, x, cfg, noise.masks)
     total, *_ = _output_grads(fwd, batch, cfg, noise)
     return total
 
@@ -578,7 +542,7 @@ def loss_and_gradients(params: dict, batch: list[TrainSample],
     """Batch loss and its exact gradient w.r.t. every parameter, for the
     given realized masks and regression cell sets."""
     x = np.stack([s.features for s in batch])
-    fwd = _forward_batch(params, x, cfg, _stack_masks(noise))
+    fwd = _forward_batch(params, x, cfg, noise.masks)
     total, g_start, g_end, g_cls, g_reg = _output_grads(fwd, batch, cfg, noise)
     grads = _backward_batch(params, fwd, g_start, g_end, g_cls, g_reg)
     return total, grads
@@ -590,7 +554,7 @@ def compute_gradients(params: dict, batch: list[TrainSample],
     """Draw fresh step randomness and return (loss, gradients)."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    noise = draw_step_noise(batch, cfg, rng, training=True)
+    noise = draw_step_noise(batch, cfg, rng)
     loss, grads = loss_and_gradients(params, batch, cfg, noise)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
@@ -678,7 +642,7 @@ def save_model(path: str | Path, cfg: ModelConfig,
                params: dict[str, np.ndarray]) -> None:
     """Binary model file: magic, version, config JSON blob, then tensors in
     declaration order (u32 rank, u32 dims, float64 payload)."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(blob)), blob]
     for name, shape, _ in _param_specs(cfg):
         arr = np.ascontiguousarray(params[name], dtype="<f8")
@@ -700,7 +664,7 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise ModelIOError(f"{path}: unsupported version {version}")
     try:
         cfg = config_from_dict(json.loads(data[12:12 + blob_len].decode()))
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad config blob: {exc}") from exc
     try:
         cfg.validate()

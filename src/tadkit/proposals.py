@@ -1,6 +1,7 @@
 """Dense proposal machinery: the duration-by-start lattice of candidate
 segments, the IoU targets, the bilinear proposal-feature sampling taps with
-their fused N-point reduction, and random proposal masking.
+their fused N-point reduction, and the random proposal masks that training
+draws (``draw_mask``); inference never masks.
 
 Grid convention: cell (d, t) with 0-based duration index d denotes the
 segment [t, t + d + 1) in snippet units; it is valid iff t + d + 1 <= T.
@@ -214,11 +215,10 @@ def sample_adjoint(grad_out: np.ndarray, sm: SamplingMatrix) -> np.ndarray:
 
 @dataclass
 class MaskConfig:
-    """Random proposal-feature masking applied during training only."""
+    """Random proposal-feature masking, applied by training steps only."""
 
     p: float = 0.1
     granularity: str = "proposal"  # or "channel"
-    seed: int = 0
 
     def validate(self) -> None:
         if not (0.0 <= self.p < 1.0):
@@ -227,40 +227,24 @@ class MaskConfig:
             raise ValueError(f"unknown granularity {self.granularity!r}")
 
 
-def draw_mask(shape: tuple[int, int, int, int], cfg: MaskConfig,
+def draw_mask(shape: tuple[int, int, int], cfg: MaskConfig,
               rng: np.random.Generator) -> np.ndarray:
-    """Realize one mask for a (C, N, D, T) tensor, broadcastable to it.
+    """Realize one mask for (C, D, T) proposal features, broadcastable to
+    them.
 
     Surviving positions carry 1/(1-p) so masking preserves expectations;
     dropped positions are 0. Proposal granularity zeroes whole (d, t) cells
-    and returns shape (1, 1, D, T); channel granularity zeroes whole
-    channels and returns (C, 1, 1, 1).
+    and returns shape (1, D, T); channel granularity zeroes whole channels
+    and returns (C, 1, 1).
 
-    A mask must be constant over the N sample points (its N axis has
-    length 1): the network never builds the (C, N, D, T) tensor and
-    applies the mask after the N-point reduction, which is exact only
-    for N-invariant masks.
+    A mask is the same for all N sample points of a cell: the network
+    applies it after the N-point reduction, which is exact only for that.
     """
     cfg.validate()
-    c, _, d, t = shape
+    c, d, t = shape
     scale = 1.0 / (1.0 - cfg.p)
     if cfg.granularity == "proposal":
         keep = rng.random((d, t)) >= cfg.p
-        return np.where(keep, scale, 0.0)[None, None, :, :]
+        return np.where(keep, scale, 0.0)[None, :, :]
     keep = rng.random(c) >= cfg.p
-    return np.where(keep, scale, 0.0)[:, None, None, None]
-
-
-def mask_proposals(tensor: np.ndarray, cfg: MaskConfig, training: bool,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Randomly zero proposal features of a (C, N, D, T) tensor.
-
-    Identity outside training or at p == 0; otherwise each cell (or channel)
-    is dropped independently with probability p and survivors are rescaled
-    by 1/(1-p).
-    """
-    if not training or cfg.p == 0.0:
-        return tensor
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return tensor * draw_mask(tensor.shape, cfg, rng)
+    return np.where(keep, scale, 0.0)[:, None, None]

@@ -22,16 +22,15 @@ from tadkit.dataio import (AnnotationSet, Instance, SynthConfig,
                            VideoAnnotation, rescale_features, synth_dataset)
 from tadkit.metrics import (DEFAULT_TIOU, ap_at_tiou, ar_at_an, ar_curve,
                             auc, average_map, proposal_ground_truth)
-from tadkit.model import (ModelConfig, _conv, _stack_masks,
-                          batch_loss, draw_step_noise, forward, init_params,
-                          loss_and_gradients, train)
+from tadkit.model import (ModelConfig, batch_loss, draw_step_noise, forward,
+                          init_params, loss_and_gradients, train)
 from tadkit.postprocess import Detection, Proposal, fuse_scores, soft_nms
 from tadkit.preprocess import (PreprocessConfig, instance_coverage,
                                interval_union_length, resample_short,
                                temporal_shift)
 from tadkit.proposals import (MaskConfig, build_sampling_matrix, draw_mask,
                               proposal_grid, sample_proposal_features)
-from test_model import random_sample, perturbed_params
+from test_model import kink_free_params, random_sample
 
 
 @contextlib.contextmanager
@@ -289,29 +288,6 @@ def test_a2_sampling_correctness():
                 assert abs(got[ni, dd, tt] - want) <= 1e-6
 
 
-def _kink_margin(params, batch, cfg, noise):
-    """Distance of the closest ReLU pre-activation to its kink.
-
-    Central differences are only valid where the composition is smooth; a
-    pre-activation within ~step * gain of zero can flip sign under the
-    probe and corrupt the measurement without any gradient being wrong.
-    """
-    x = np.stack([s.features for s in batch])
-    z1 = _conv(x[:, :, None], params["stem1_w"][:, :, None],
-               params["stem1_b"])
-    h1 = np.maximum(z1, 0.0)
-    z2 = _conv(h1, params["stem2_w"][:, :, None], params["stem2_b"])
-    h2 = np.maximum(z2, 0.0)[:, :, 0]
-    sampled = sample_proposal_features(h2, cfg.sampling_matrix())
-    masks = _stack_masks(noise)
-    if masks is not None:
-        sampled = sampled * masks
-    reduced = np.tensordot(sampled, params["reduce_w"], axes=([2], [0])) \
-        + params["reduce_b"][0]
-    z3 = _conv(reduced, params["pem_w"], params["pem_b"])
-    return min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min())
-
-
 def test_a3_gradient_check():
     with report("A3"):
         t0 = time.perf_counter()
@@ -327,14 +303,9 @@ def test_a3_gradient_check():
             for seed in range(5):
                 rng = np.random.default_rng(seed)
                 batch = [random_sample(rng, cfg) for _ in range(2)]
-                noise = draw_step_noise(batch, cfg, rng, training=True)
-                best_margin, params = -1.0, None
-                for salt in range(40):
-                    cand = perturbed_params(
-                        cfg, np.random.default_rng([seed, salt]))
-                    margin = _kink_margin(cand, batch, cfg, noise)
-                    if margin > best_margin:
-                        best_margin, params = margin, cand
+                noise = draw_step_noise(batch, cfg, rng)
+                best_margin, params = kink_free_params(cfg, batch, noise,
+                                                       seed)
                 assert best_margin > 5 * step, \
                     f"no kink-free evaluation point for seed {seed} ({mode})"
                 _, grads = loss_and_gradients(params, batch, cfg, noise)
@@ -374,7 +345,7 @@ def test_a4_masking_statistics():
         dropped = 0
         masked_values = []
         for _ in range(draws):
-            mask = draw_mask((1, 1, 100, 100), cfg, rng)[0, 0]
+            mask = draw_mask((1, 100, 100), cfg, rng)[0]
             on_valid = mask[grid.valid]
             dropped += int((on_valid == 0.0).sum())
             masked_values.append(on_valid)
@@ -398,8 +369,8 @@ def test_a4_masking_statistics():
                             mask=MaskConfig(p=0.0), seed=0)
         params = init_params(mcfg, np.random.default_rng(1))
         x = np.random.default_rng(2).normal(size=(8, 3))
-        a = forward(params, x, mcfg, training=False)
-        b = forward(params, x, plain, training=False)
+        a = forward(params, x, mcfg)
+        b = forward(params, x, plain)
         for fa, fb in ((a.p_start, b.p_start), (a.p_end, b.p_end),
                        (a.p_cls, b.p_cls), (a.p_reg, b.p_reg)):
             assert fa.tobytes() == fb.tobytes()
@@ -411,7 +382,7 @@ def _validation_auc(params, cfg, anns, features, grid):
         if ann.subset != "validation":
             continue
         seq = rescale_features(features[vid], cfg.t_scale)
-        out = forward(params, seq, cfg, training=False)
+        out = forward(params, seq, cfg)
         props[vid] = soft_nms(fuse_scores(out, grid, ann.duration))
     gt = proposal_ground_truth(anns, "validation")
     return auc(ar_curve(props, gt, an_max=100))

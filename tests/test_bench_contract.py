@@ -1,27 +1,33 @@
 """The benchmark's contract with the library.
 
 ``bench/`` reaches into tadkit by name: ``bench/traced_cli.py`` wraps the
-functions listed in its ``TRACED`` table, and the other scripts import
-public names. A rename or deletion in tadkit would otherwise surface only
-when the benchmark runs (a traced run fails on a missing attribute), so
-these tests read ``bench/`` and check every such name against the
-library. They only read the benchmark's files; nothing there runs.
+functions listed in its ``TRACED`` table, the other scripts import public
+names, and each workload writes a run config that the CLI must parse. A
+rename or deletion in tadkit would otherwise surface only when the
+benchmark runs (a traced run fails on a missing attribute, a command on a
+config key), so these tests read ``bench/`` and check every such name and
+config against the library. They only read the benchmark's files; no
+benchmark command runs.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from tadkit.config import run_config_from_dict
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_traced_cli():
+def _load_bench_module(name: str):
     spec = importlib.util.spec_from_file_location(
-        "bench_traced_cli", BENCH / "traced_cli.py")
+        f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -41,7 +47,7 @@ def _tadkit_imports(path: Path) -> list[tuple[str, str | None]]:
 
 
 def test_every_traced_name_resolves():
-    traced = _load_traced_cli().TRACED
+    traced = _load_bench_module("traced_cli").TRACED
     assert traced
     for short, names in traced.items():
         module = importlib.import_module(f"tadkit.{short}")
@@ -62,3 +68,10 @@ def test_bench_imports_from_tadkit_exist(script):
                 f"bench/{script} imports {name} from {module_name}, " \
                 f"which does not exist"
 
+
+def test_workload_run_configs_parse(tmp_path):
+    workloads = _load_bench_module("workloads").WORKLOADS
+    assert workloads
+    for name, workload in workloads.items():
+        raw = workload.run_config(tmp_path / "inputs", tmp_path / "out", 0)
+        run_config_from_dict(raw)  # raises ConfigError naming the key

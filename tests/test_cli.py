@@ -74,7 +74,7 @@ class TestRunConfig:
     def test_model_config_inherits_run_seed(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({
-            "seed": 9, "mask": {"p": 0.2, "seed": 3},
+            "seed": 9, "mask": {"p": 0.2},
             "synth": {"n_videos": 5, "t_raw_range": [20, 30], "channels": 4},
             "grid": {"t_scale": 8, "d_max": 8, "n_samples": 4},
             "model": {"c_h": 2, "epochs": 0}}))
@@ -84,7 +84,12 @@ class TestRunConfig:
         mc, _ = load_model(tmp_path / "model.cpnm")
         assert mc.c_in == 4
         assert mc.seed == 9
-        assert mc.mask.seed == 9 and mc.mask.p == 0.2
+        assert mc.mask.p == 0.2
+
+    def test_mask_seed_is_no_config_key(self):
+        # The run's one seed draws the masks; mask.seed would do nothing.
+        with pytest.raises(ConfigError, match=r"mask\.seed"):
+            run_config_from_dict({"mask": {"seed": 3}})
 
     def test_ensemble_lists_accepted(self):
         rc = run_config_from_dict(
@@ -392,6 +397,25 @@ class TestPipeline:
         assert any(f"video {src.stem!r}" in err
                    for src in member.glob("*.npz"))
         assert "p_reg is not finite" in err
+        assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    def test_failed_ensemble_leaves_no_outputs(self, pipeline, tmp_path,
+                                               capsys):
+        """Only the last video's member is bad, so every other video has
+        saved its outputs before the command fails; none may stay."""
+        member = tmp_path / "member"
+        member.mkdir()
+        srcs = sorted((pipeline / "out" / "outputs").glob("*.npz"))
+        for src in srcs:
+            out = load_outputs(src)
+            if src == srcs[-1]:
+                out.p_cls[0, 0] = np.nan
+            save_outputs(out, member / src.name)
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="ensemble",
+            ensemble={"inputs": [str(member)]})
+        assert f"video {srcs[-1].stem!r}" in err
+        assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
         assert not (tmp_path / "bad" / "proposals.json").exists()
 
     @pytest.mark.parametrize("defect", [

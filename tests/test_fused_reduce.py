@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from tadkit.model import (ModelConfig, _forward_batch,
-                          _proposal_reduce_backward, _stack_masks,
-                          draw_step_noise)
+                          _proposal_reduce_backward, draw_step_noise)
 from tadkit.proposals import (MaskConfig, sample_adjoint,
                               sample_proposal_features)
 from test_model import perturbed_params, random_sample
@@ -44,8 +43,8 @@ def test_fused_layer_matches_oracle(shape, mask):
     rng = np.random.default_rng(17)
     params = perturbed_params(cfg, rng)
     batch = [random_sample(rng, cfg) for _ in range(batch_size)]
-    noise = draw_step_noise(batch, cfg, rng, training=True)
-    masks = _stack_masks(noise)
+    noise = draw_step_noise(batch, cfg, rng)
+    masks = noise.masks  # (B, C|1, D|1, T|1): the same for all N points
     assert (masks is None) == (mask == "off")
     fwd = _forward_batch(params, np.stack([s.features for s in batch]), cfg,
                          masks)
@@ -53,7 +52,7 @@ def test_fused_layer_matches_oracle(shape, mask):
 
     sampled = sample_proposal_features(h2, sm)  # (B, C, N, D, T)
     if masks is not None:
-        sampled *= masks
+        sampled *= masks[:, :, None]
     want = np.tensordot(sampled, w, axes=([2], [0])) + params["reduce_b"][0]
     assert_rel_close(fwd["reduced"], want)
 
@@ -66,14 +65,6 @@ def test_fused_layer_matches_oracle(shape, mask):
     del sampled
     gsampled = gout[:, :, None] * w[None, None, :, None, None]
     if masks is not None:
-        gsampled *= masks
+        gsampled *= masks[:, :, None]
     assert_rel_close(gh2, sample_adjoint(gsampled, sm))
 
-
-def test_masks_must_be_constant_over_samples():
-    cfg = ModelConfig(c_in=4, c_h=4, t_scale=8, d_max=8, n_samples=4)
-    rng = np.random.default_rng(0)
-    params = perturbed_params(cfg, rng)
-    x = rng.normal(size=(1, 4, 8))
-    with pytest.raises(ValueError, match="constant over the N"):
-        _forward_batch(params, x, cfg, np.ones((1, 1, 4, 8, 8)))

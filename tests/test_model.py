@@ -1,19 +1,25 @@
 """Tests for the network: initialization, forward pass, losses, analytic
 gradients against finite differences, training, and model file IO."""
 
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from tadkit.dataio import AnnotationSet, Instance, VideoAnnotation
 from tadkit.model import (BoundaryLabels, ModelConfig, ModelIOError,
                           StepNoise, TrainingDivergedError, TrainSample,
-                          _param_specs, batch_loss, boundary_labels,
-                          compute_gradients, config_from_dict, config_to_dict,
-                          draw_step_noise, forward, init_params,
-                          load_model, load_outputs, loss_and_gradients,
-                          pem_loss, save_model, save_outputs, tem_loss, train)
+                          _balanced_bce, _conv, _forward_batch, _param_specs,
+                          _pem_cls, _pem_reg, _sample_reg_cells, batch_loss,
+                          boundary_labels, compute_gradients,
+                          config_from_dict, draw_step_noise, forward,
+                          init_params, load_model, load_outputs,
+                          loss_and_gradients, save_model, save_outputs, train)
 from tadkit.preprocess import PreprocessConfig
-from tadkit.proposals import MaskConfig, proposal_grid
+from tadkit.proposals import (MaskConfig, proposal_grid,
+                              sample_proposal_features)
 
 
 def tiny_config(**kw):
@@ -41,6 +47,57 @@ def perturbed_params(cfg, rng):
     comparison well-posed."""
     params = init_params(cfg, rng)
     return {k: v + 0.1 * rng.normal(size=v.shape) for k, v in params.items()}
+
+
+def _kink_margin(params, batch, cfg, noise):
+    """Distance of the closest ReLU pre-activation to its kink.
+
+    Central differences are only valid where the composition is smooth; a
+    pre-activation within ~step * gain of zero can flip sign under the
+    probe and corrupt the measurement without any gradient being wrong.
+    The proposal features are sampled and masked literally, independent of
+    the fused operator the network runs.
+    """
+    x = np.stack([s.features for s in batch])
+    z1 = _conv(x[:, :, None], params["stem1_w"][:, :, None],
+               params["stem1_b"])
+    h1 = np.maximum(z1, 0.0)
+    z2 = _conv(h1, params["stem2_w"][:, :, None], params["stem2_b"])
+    h2 = np.maximum(z2, 0.0)[:, :, 0]
+    sampled = sample_proposal_features(h2, cfg.sampling_matrix())
+    if noise.masks is not None:
+        sampled = sampled * noise.masks[:, :, None]  # same for all N points
+    reduced = np.tensordot(sampled, params["reduce_w"], axes=([2], [0])) \
+        + params["reduce_b"][0]
+    z3 = _conv(reduced, params["pem_w"], params["pem_b"])
+    return min(np.abs(z1).min(), np.abs(z2).min(), np.abs(z3).min())
+
+
+def kink_free_params(cfg, batch, noise, seed, tries=40):
+    """Of ``tries`` perturbed parameter sets, drawn from the seeds
+    [seed, salt], the one whose ReLU pre-activations lie farthest from
+    their kinks on this batch and noise: (margin, params)."""
+    best_margin, params = -1.0, None
+    for salt in range(tries):
+        cand = perturbed_params(cfg, np.random.default_rng([seed, salt]))
+        margin = _kink_margin(cand, batch, cfg, noise)
+        if margin > best_margin:
+            best_margin, params = margin, cand
+    return best_margin, params
+
+
+def tem_total(p_start, p_end, labels):
+    """The boundary loss of one sample, as the training loss sums it."""
+    return (_balanced_bce(p_start, labels.start)[0]
+            + _balanced_bce(p_end, labels.end)[0])
+
+
+def pem_total(p_cls, p_reg, gt, grid, rng, lambda_cls=1.0, lambda_reg=1.0):
+    """The confidence-map loss of one sample, as the training loss sums it:
+    balanced classification plus stratified-sample regression."""
+    cells = _sample_reg_cells(gt, grid.valid, rng)
+    return (lambda_cls * _pem_cls(p_cls, gt, grid.valid)[0]
+            + lambda_reg * _pem_reg(p_reg, gt, cells)[0])
 
 
 class TestInitParams:
@@ -96,10 +153,15 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = init_params(cfg, rng)
         x = rng.normal(size=(8, 3))
-        a = forward(params, x, cfg, training=True,
-                    rng=np.random.default_rng(0))
-        b = forward(params, x, cfg, training=False)
-        np.testing.assert_array_equal(a.p_reg, b.p_reg)
+        sample = TrainSample(np.ascontiguousarray(x.T),
+                             BoundaryLabels(np.zeros(8), np.zeros(8)),
+                             np.zeros((8, 8)))
+        noise = draw_step_noise([sample], cfg, np.random.default_rng(0))
+        assert noise.masks is None
+        a = _forward_batch(params, sample.features[None], cfg, noise.masks)
+        b = forward(params, x, cfg)
+        for name in ("p_start", "p_end", "p_cls", "p_reg"):
+            assert a[name][0].tobytes() == getattr(b, name).tobytes()
 
     def test_outputs_strictly_inside_unit_interval(self):
         cfg = tiny_config()
@@ -145,7 +207,7 @@ class TestTemLoss:
         y = np.zeros(t)
         y[3:5] = 1.0
         labels = BoundaryLabels(y, y)
-        assert tem_loss(y, y, labels) < 1e-5
+        assert tem_total(y, y, labels) < 1e-5
 
     def test_balance_weights_closed_form(self):
         # T=10, 2 positives: alpha+ = 5, alpha- = 1.25
@@ -155,14 +217,14 @@ class TestTemLoss:
         p = np.full(t, 0.5)
         want_one_head = -(5.0 * 2 * np.log(0.5)
                           + 1.25 * 8 * np.log(0.5)) / t
-        got = tem_loss(p, p, BoundaryLabels(y, y))
+        got = tem_total(p, p, BoundaryLabels(y, y))
         assert got == pytest.approx(2 * want_one_head)
 
     def test_all_negative_at_half_is_ln2_per_head(self):
         t = 12
         p = np.full(t, 0.5)
         labels = BoundaryLabels(np.zeros(t), np.zeros(t))
-        assert tem_loss(p, p, labels) == pytest.approx(2 * np.log(2.0))
+        assert tem_total(p, p, labels) == pytest.approx(2 * np.log(2.0))
 
 
 class TestPemLoss:
@@ -172,7 +234,7 @@ class TestPemLoss:
         rng = np.random.default_rng(0)
         gt = rng.random((8, 8))
         gt[~grid.valid] = 0.0
-        loss = pem_loss(np.full((8, 8), 0.5), gt, gt, grid,
+        loss = pem_total(np.full((8, 8), 0.5), gt, gt, grid,
                         np.random.default_rng(1), lambda_cls=0.0)
         assert loss == 0.0
 
@@ -180,7 +242,7 @@ class TestPemLoss:
         cfg = tiny_config()
         grid = proposal_grid(cfg.t_scale, cfg.d_max)
         gt = np.zeros((8, 8))
-        loss = pem_loss(np.full((8, 8), 0.5), np.zeros((8, 8)), gt, grid,
+        loss = pem_total(np.full((8, 8), 0.5), np.zeros((8, 8)), gt, grid,
                         np.random.default_rng(0), lambda_reg=0.0)
         assert loss == pytest.approx(np.log(2.0))
 
@@ -190,7 +252,7 @@ class TestPemLoss:
         rng = np.random.default_rng(2)
         gt = rng.random((8, 8))
         gt[~grid.valid] = 0.0
-        loss = pem_loss(rng.random((8, 8)), rng.random((8, 8)), gt, grid,
+        loss = pem_total(rng.random((8, 8)), rng.random((8, 8)), gt, grid,
                         np.random.default_rng(0), lambda_cls=0.0,
                         lambda_reg=0.0)
         assert loss == 0.0
@@ -199,9 +261,10 @@ class TestPemLoss:
 class TestGradients:
     def fd_worst_error(self, cfg, seed, entries_per_param=4, h=1e-4):
         rng = np.random.default_rng(seed)
-        params = perturbed_params(cfg, rng)
         batch = [random_sample(rng, cfg) for _ in range(2)]
-        noise = draw_step_noise(batch, cfg, rng, training=True)
+        noise = draw_step_noise(batch, cfg, rng)
+        margin, params = kink_free_params(cfg, batch, noise, seed)
+        assert margin > 5 * h, f"no kink-free evaluation point for seed {seed}"
         _, grads = loss_and_gradients(params, batch, cfg, noise)
         worst = 0.0
         for name in params:
@@ -238,9 +301,6 @@ class TestGradients:
             assert self.fd_worst_error(cfg, seed) < 1e-4
 
     def test_matches_finite_differences_kernel_5(self):
-        # At k=5 a ReLU pre-activation lies within 1e-4 of its kink at
-        # seed 0 (3.9e-5), where a 1e-4 central difference is invalid; a
-        # 1e-6 probe stays on one side of every kink at these seeds.
         cfg = tiny_config(kernel_size=5)
         for seed in range(3):
             assert self.fd_worst_error(cfg, seed, h=1e-6) < 1e-4
@@ -252,8 +312,8 @@ class TestGradients:
         rng = np.random.default_rng(0)
         params = perturbed_params(cfg, rng)
         batch = [random_sample(rng, cfg)]
-        noise = draw_step_noise(batch, cfg, rng, training=True)
-        noise.masks = [np.zeros_like(m) for m in noise.masks]
+        noise = draw_step_noise(batch, cfg, rng)
+        noise.masks = np.zeros_like(noise.masks)
         _, grads = loss_and_gradients(params, batch, cfg, noise)
         np.testing.assert_array_equal(grads["reduce_w"], 0.0)
 
@@ -261,7 +321,7 @@ class TestGradients:
         rng = np.random.default_rng(1)
         base = tiny_config(lambda_reg=0.0)
         batch = [random_sample(rng, base)]
-        noise = draw_step_noise(batch, base, rng, training=True)
+        noise = draw_step_noise(batch, base, rng)
         params = perturbed_params(base, np.random.default_rng(2))
         _, g0 = loss_and_gradients(params, batch, base, noise)
         _, g1 = loss_and_gradients(params, batch,
@@ -277,10 +337,10 @@ class TestGradients:
         rng = np.random.default_rng(3)
         params = perturbed_params(cfg, rng)
         batch = [random_sample(rng, cfg) for _ in range(3)]
-        noise = draw_step_noise(batch, cfg, rng, training=True)
+        noise = draw_step_noise(batch, cfg, rng)
         loss_a, _ = loss_and_gradients(params, batch, cfg, noise)
         order = [2, 0, 1]
-        rev = StepNoise([noise.masks[i] for i in order],
+        rev = StepNoise(None if noise.masks is None else noise.masks[order],
                         [noise.reg_cells[i] for i in order])
         loss_b, _ = loss_and_gradients(params, [batch[i] for i in order],
                                        cfg, rev)
@@ -370,7 +430,48 @@ class TestModelIO:
 
     def test_config_dict_roundtrip(self):
         cfg = tiny_config(mask=MaskConfig(p=0.15))
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
+
+    @staticmethod
+    def _with_blob(path, blob):
+        """Replace the config blob of the model file at path."""
+        data = path.read_bytes()
+        (old_len,) = struct.unpack_from("<I", data, 8)
+        new = json.dumps(blob, sort_keys=True).encode()
+        path.write_bytes(data[:4] + struct.pack("<II", 1, len(new)) + new
+                         + data[12 + old_len:])
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.5), ("kernel_size", True)])
+    def test_blob_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        cfg = tiny_config()
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        self._with_blob(path, {**asdict(cfg), key: value})
+        with pytest.raises(ModelIOError, match=rf"m\.cpnm.*{key}"):
+            load_model(path)
+
+    def test_blob_integral_float_loads_as_int(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        self._with_blob(path, {**asdict(cfg), "c_h": 4.0})
+        cfg2, _ = load_model(path)
+        assert cfg2.c_h == 4 and type(cfg2.c_h) is int
+
+    def test_blob_with_mask_seed_loads(self, tmp_path):
+        # Earlier model files store the mask section with its own seed.
+        cfg = tiny_config(mask=MaskConfig(p=0.2))
+        params = init_params(cfg, np.random.default_rng(0))
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, params)
+        blob = asdict(cfg)
+        blob["mask"]["seed"] = 7
+        self._with_blob(path, blob)
+        cfg2, params2 = load_model(path)
+        assert cfg2 == cfg
+        for k in params:
+            np.testing.assert_array_equal(params2[k], params[k])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.cpnm"

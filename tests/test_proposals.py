@@ -6,7 +6,7 @@ import pytest
 
 from tadkit.dataio import Instance, VideoAnnotation
 from tadkit.proposals import (MaskConfig, build_sampling_matrix, draw_mask,
-                              gt_iou_map, mask_proposals, proposal_grid,
+                              gt_iou_map, proposal_grid,
                               sample_adjoint, sample_proposal_features)
 
 
@@ -227,21 +227,14 @@ class TestSamplingMatrix:
 
 
 class TestMasking:
-    def test_p_zero_identity(self):
-        x = np.random.default_rng(0).normal(size=(3, 4, 6, 6))
-        out = mask_proposals(x, MaskConfig(p=0.0), training=True)
-        np.testing.assert_array_equal(out, x)
-
-    def test_inference_identity(self):
-        x = np.random.default_rng(1).normal(size=(3, 4, 6, 6))
-        out = mask_proposals(x, MaskConfig(p=0.9), training=False)
-        np.testing.assert_array_equal(out, x)
+    """Masks are drawn for (C, D, T) features and broadcast over the N
+    sample points of each cell, here the second axis of x."""
 
     def test_proposal_cells_all_or_nothing(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4, 8, 8)) + 5.0
         cfg = MaskConfig(p=0.5, granularity="proposal")
-        out = x * draw_mask(x.shape, cfg, rng)
+        out = x * draw_mask((3, 8, 8), cfg, rng)[:, None]
         for di in range(8):
             for ti in range(8):
                 cell = out[:, :, di, ti]
@@ -253,11 +246,18 @@ class TestMasking:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 2, 4, 4)) + 5.0
         cfg = MaskConfig(p=0.5, granularity="channel")
-        out = x * draw_mask(x.shape, cfg, rng)
+        out = x * draw_mask((6, 4, 4), cfg, rng)[:, None]
         for c in range(6):
             block = out[c]
             assert (block == 0.0).all() or \
                 np.allclose(block, x[c] / 0.5)
+
+    @pytest.mark.parametrize("granularity, want", [
+        ("proposal", (1, 4, 5)), ("channel", (3, 1, 1))])
+    def test_mask_shape(self, granularity, want):
+        cfg = MaskConfig(p=0.5, granularity=granularity)
+        mask = draw_mask((3, 4, 5), cfg, np.random.default_rng(0))
+        assert mask.shape == want
 
     def test_mean_preserving_in_expectation(self):
         """Per-entry mean over many draws stays within 3 standard errors."""
@@ -267,7 +267,7 @@ class TestMasking:
         value = 2.0
         n = 20000
         draws = np.array([
-            (value * draw_mask((1, 1, 1, 1), cfg, rng))[0, 0, 0, 0]
+            (value * draw_mask((1, 1, 1), cfg, rng))[0, 0, 0]
             for _ in range(n)])
         se = value * np.sqrt(p / (1 - p) / n)
         assert abs(draws.mean() - value) < 3 * se
