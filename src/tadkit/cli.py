@@ -185,10 +185,11 @@ def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
     detections.json; returns the filenames written.
 
     An explicitly configured paths.class_scores must exist; the fallback
-    under the output directory is used only when present there.
+    under the output directory is used only when present there. Every
+    detection is assembled before either file is written, so a missing
+    score leaves neither.
     """
-    postprocess.save_proposals(results, out / "proposals.json")
-    written = ["proposals.json"]
+    dets = None
     scores_path = _artifact(rc.paths.class_scores, out, "class_scores.json")
     if rc.paths.class_scores or scores_path.exists():
         scores = dataio.load_class_scores(scores_path)
@@ -198,9 +199,11 @@ def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
                 raise ValueError(f"no class scores for video {vid!r}")
             dets[vid] = postprocess.assemble_detections(
                 props, scores[vid], rc.postprocess.top_k)
-        postprocess.save_detections(dets, out / "detections.json")
-        written.append("detections.json")
-    return written
+    postprocess.save_proposals(results, out / "proposals.json")
+    if dets is None:
+        return ["proposals.json"]
+    postprocess.save_detections(dets, out / "detections.json")
+    return ["proposals.json", "detections.json"]
 
 
 def _propose(outputs: NetworkOutputs, ann: dataio.VideoAnnotation,

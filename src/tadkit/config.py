@@ -3,8 +3,8 @@
 The file is a single object with a top-level ``seed`` and one section per
 concern: ``paths``, ``synth``, ``grid``, ``mask``, ``model``,
 ``preprocess``, ``postprocess``, ``eval``, ``ensemble``. Parsing is strict:
-an unknown key anywhere, or a value of the wrong JSON type, is rejected by
-name (``section.key``). In commands the top-level seed overrides any
+an unknown key anywhere, a value of the wrong JSON type, or a network value
+out of range, is rejected by name (``section.key``). In commands the top-level seed overrides any
 per-section seed field, so one value controls a whole run; flags override
 the file.
 
@@ -119,6 +119,8 @@ class RunConfig:
             except ConfigError:
                 raise
             except ValueError as exc:
+                if section == "model":
+                    raise ConfigError(_model_error(str(exc))) from exc
                 raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -138,6 +140,17 @@ _MODEL_KEYS = {
     "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
               "learning_rate", "momentum", "epochs", "batch_size"),
 }
+
+
+def _model_error(message: str) -> str:
+    """A ModelConfig.validate message, whose first word names the field it
+    rejects, with that field put under the section that sets it."""
+    key, _, rest = message.partition(" ")
+    if "." not in key:  # a mask field already reads mask.<field>
+        section = next((s for s, keys in _MODEL_KEYS.items() if key in keys),
+                       "model")
+        key = f"{section}.{key}"
+    return f"{key} {rest}"
 
 
 def _preprocess_from_dict(raw: object) -> PreprocessConfig:

@@ -15,11 +15,25 @@ them after the N-point reduction. ``forward`` is inference and never masks.
 
 Every convolution is one same-padding routine, ``_conv``, over (B, C, D, T)
 maps (the 1-D layers are D = 1), lowered to one small GEMM per kernel tap
-(arXiv 1709.03395): the input is zero-padded once and flattened row by row
-at the padded width, so each tap reads one contiguous slice and the output
-columns that straddle two rows are dropped by a view. The backward pass
-pads the output gradient once into the same layout; the input gradient is
-the forward routine with the kernel flipped and its channel axes swapped.
+(arXiv 1709.03395): each sample is zero-padded into one reused buffer,
+flattened row by row at the padded width, so each tap reads one contiguous
+slice and the output columns that straddle two rows are dropped by a view.
+The weight gradient pads each sample of the input and of the output
+gradient the same way; the input gradient is the forward routine with the
+kernel flipped and its channel axes swapped.
+
+A training step's memory is its full-size (B, C_h, D, T) float64 maps. The
+forward pass keeps two, ``reduced`` and ``hidden2d``; the convolution
+between them adds its output, and each head's ``tensordot`` a transposed
+copy of ``hidden2d``, which it frees on return. The backward pass takes
+both maps out of the forward's intermediates. It builds the heads' input
+gradient ``gh2d`` one channel at a time and frees ``hidden2d`` once its
+ReLU mask is applied, ``reduced`` once the ``pem`` weight gradient is
+summed, and ``gh2d`` once the ``pem`` input gradient is built; the
+proposal-reduction backward then holds that gradient and one masked
+contiguous copy of it. So about three maps are alive at the peak, with the
+(B, D, T) head maps and gradients beside them. No padded copy of a map is
+built.
 """
 
 from __future__ import annotations
@@ -78,11 +92,13 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        # Written so that NaN, which JSON parsing accepts, fails too.
-        if min(self.c_in, self.c_h, self.t_scale, self.d_max,
-               self.n_samples, self.batch_size) < 1:
-            raise ValueError("c_in, c_h, t_scale, d_max, n_samples and "
-                             "batch_size must be positive")
+        """Raise ValueError for a value out of range. Each message starts
+        with the one field it rejects, ``mask.<field>`` for a mask field;
+        the run config maps that name back to its JSON section."""
+        for name in ("c_in", "c_h", "t_scale", "d_max", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be a positive odd number")
         if self.d_max > self.t_scale:
@@ -91,6 +107,7 @@ class ModelConfig:
             raise ValueError("n_samples must be >= 2")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        # Written so that NaN, which JSON parsing accepts, fails too.
         for name in ("expansion", "lambda_cls", "lambda_reg"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -102,7 +119,10 @@ class ModelConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got "
                              f"{self.momentum}")
-        self.mask.validate()
+        try:
+            self.mask.validate()
+        except ValueError as exc:
+            raise ValueError(f"mask.{exc}") from None
 
     def grid(self) -> ProposalGrid:
         return proposal_grid(self.t_scale, self.d_max)
@@ -114,14 +134,26 @@ class ModelConfig:
 
 def config_from_dict(d: object) -> ModelConfig:
     """The ModelConfig of a model file's JSON config blob, each key checked
-    against its field type; TypeError names a bad one. A ``mask.seed``,
+    against its field type; TypeError names a bad or missing one. Every
+    field is required, since save_model writes them all. A ``mask.seed``,
     which older files store, is dropped: the run's seed draws the masks."""
-    types = typing.get_type_hints(ModelConfig)
-    kwargs = typed_fields("", d, {**types, "mask": dict})
-    mask = dict(kwargs.pop("mask", {}))
+    kwargs = _all_fields("", d, {**typing.get_type_hints(ModelConfig),
+                                 "mask": dict})
+    mask = dict(kwargs.pop("mask"))
     mask.pop("seed", None)
-    return ModelConfig(mask=MaskConfig(**typed_fields(
+    return ModelConfig(mask=MaskConfig(**_all_fields(
         "mask", mask, typing.get_type_hints(MaskConfig))), **kwargs)
+
+
+def _all_fields(where: str, raw: object, types: dict[str, object]) -> dict:
+    """typed_fields, plus a TypeError naming the first key of types that
+    raw does not set."""
+    kwargs = typed_fields(where, raw, types)
+    for key in types:
+        if key not in kwargs:
+            raise TypeError(f"missing config key: "
+                            f"{where + '.' if where else ''}{key}")
+    return kwargs
 
 
 @dataclass
@@ -209,64 +241,74 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _pad(x: np.ndarray, pd: int, pt: int) -> np.ndarray:
-    """(B, C, D, T) maps zero-padded by (pd, pt) on each side, flattened
-    row by row, plus 2*pt spare zeros: (B, C, (D+2pd)*(T+2pt) + 2pt)."""
-    b, c, d, t = x.shape
+def _padded(c: int, d: int, t: int, pd: int,
+            pt: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero buffer for one (C, D, T) map padded by (pd, pt) on each side,
+    flattened row by row, plus 2*pt spare zeros: (C, (D+2pd)*(T+2pt) +
+    2pt); and the (C, D, T) view of its interior. Writing a map into the
+    view pads it; the border is never written, so it stays zero."""
     width = t + 2 * pt
     n = (d + 2 * pd) * width
-    xp = np.zeros((b, c, n + 2 * pt))
-    xp[:, :, :n].reshape(b, c, d + 2 * pd, width)[
-        :, :, pd:pd + d, pt:pt + t] = x
-    return xp
-
-
-def _tap_sum(xp: np.ndarray, w: np.ndarray, b: np.ndarray, d: int,
-             t: int) -> np.ndarray:
-    """b plus, for each tap (a, c) of w (Co, Ci, KD, KT), w[:, :, a, c]
-    times the window of _pad buffer xp at offset a*(T+2pt) + c: (B, Co, D,
-    T). One sample at a time, so its output stays in cache across taps."""
-    _, _, kd, kt = w.shape
-    width = t + 2 * (kt // 2)
-    n = d * width
-    out = np.empty((xp.shape[0], w.shape[0], n))
-    out[:] = b[None, :, None]
-    tmp = np.empty(out.shape[1:])
-    for o, xs in zip(out, xp):
-        for a in range(kd):
-            for c in range(kt):
-                off = a * width + c
-                np.matmul(w[:, :, a, c], xs[:, off:off + n], out=tmp)
-                o += tmp
-    return out.reshape(*out.shape[:2], d, width)[..., :t]
+    buf = np.zeros((c, n + 2 * pt))
+    return buf, buf[:, :n].reshape(c, d + 2 * pd, width)[
+        :, pd:pd + d, pt:pt + t]
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padding convolution of (B, Ci, D, T) maps with an odd (Co, Ci,
-    KD, KT) kernel plus bias: (B, Co, D, T)."""
-    _, _, kd, kt = w.shape
-    return _tap_sum(_pad(x, kd // 2, kt // 2), w, b, *x.shape[2:])
-
-
-def _conv_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of _conv w.r.t. (x, w, b), from one padded copy of gout."""
+    KD, KT) kernel plus bias: (B, Co, D, T), a view that drops the padded
+    columns. Each sample is padded into one reused buffer; each tap (a, c)
+    adds w[:, :, a, c] times the buffer window at offset a*(T+2pt) + c.
+    One sample at a time, so its output stays in cache across taps."""
     _, _, d, t = x.shape
     _, _, kd, kt = w.shape
+    width = t + 2 * (kt // 2)
+    n = d * width
+    xp, inner = _padded(x.shape[1], d, t, kd // 2, kt // 2)
+    out = np.empty((x.shape[0], w.shape[0], n))
+    out[:] = b[None, :, None]
+    tmp = np.empty(out.shape[1:])
+    for o, xs in zip(out, x):
+        inner[...] = xs
+        for a in range(kd):
+            for c in range(kt):
+                off = a * width + c
+                np.matmul(w[:, :, a, c], xp[:, off:off + n], out=tmp)
+                o += tmp
+    return out.reshape(*out.shape[:2], d, width)[..., :t]
+
+
+def _conv_input_grad(gout: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of _conv w.r.t. its input: the convolution of gout with the
+    kernel flipped and its channel axes swapped."""
+    return _conv(gout, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                 np.zeros(w.shape[1]))
+
+
+def _conv_weight_grad(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of _conv w.r.t. (w, b). Per tap, the per-sample products
+    are summed over the batch in sample order."""
+    bsz, _, d, t = x.shape
+    co, ci, kd, kt = w.shape
     pd, pt = kd // 2, kt // 2
     width = t + 2 * pt
     n = d * width
-    xp = _pad(x, pd, pt)
-    gp = _pad(gout, pd, pt)
-    g = gp[:, :, pd * width + pt:][:, :, :n]  # gout, dropped columns zero
+    xp, x_inner = _padded(ci, d, t, pd, pt)
+    gp, g_inner = _padded(co, d, t, pd, pt)
+    g = gp[:, pd * width + pt:][:, :n]  # gout, dropped columns zero
+    prods = np.empty((kd, kt, bsz, co, ci))
+    for i in range(bsz):
+        x_inner[...] = x[i]
+        g_inner[...] = gout[i]
+        for a in range(kd):
+            for c in range(kt):
+                off = a * width + c
+                np.matmul(g, xp[:, off:off + n].T, out=prods[a, c, i])
     gw = np.empty_like(w)
     for a in range(kd):
         for c in range(kt):
-            off = a * width + c
-            gw[:, :, a, c] = np.matmul(
-                g, xp[:, :, off:off + n].transpose(0, 2, 1)).sum(axis=0)
-    gx = _tap_sum(gp, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
-                  np.zeros(w.shape[1]), d, t)
-    return gx, gw, gout.sum(axis=(0, 2, 3))
+            gw[:, :, a, c] = prods[a, c].sum(axis=0)
+    return gw, gout.sum(axis=(0, 2, 3))
 
 
 def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
@@ -292,9 +334,11 @@ def _proposal_reduce_backward(gout: np.ndarray, h2: np.ndarray,
                               masks: np.ndarray | None):
     """Gradients of _proposal_reduce w.r.t. (h2, w, b)."""
     gb = np.array([gout.sum()])
-    if masks is not None:
-        gout = gout * masks
-    gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T)
+    if masks is None:
+        gout = np.ascontiguousarray(gout)
+    else:
+        gout = np.multiply(gout, masks, out=np.empty(gout.shape))
+    gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T), no copy
     gw = sm.reduction_weight_grad(gflat.T @ h2.reshape(gflat.shape[0], -1))
     return (gflat @ w_r).reshape(h2.shape), gw, gb
 
@@ -338,9 +382,11 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
 def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
                     g_end: np.ndarray, g_cls: np.ndarray,
                     g_reg: np.ndarray) -> dict[str, np.ndarray]:
-    """Propagate output gradients back to every parameter."""
+    """Propagate output gradients back to every parameter. Takes the
+    full-size maps ``reduced`` and ``hidden2d`` out of fwd, so that each is
+    freed after its last use."""
     h1, h2 = fwd["h1"], fwd["h2"]
-    reduced, hidden2d = fwd["reduced"], fwd["hidden2d"]
+    hidden2d = fwd.pop("hidden2d")
     p_start, p_end, p_cls, p_reg = (fwd["p_start"], fwd["p_end"],
                                     fwd["p_cls"], fwd["p_reg"])
     g = {}
@@ -351,29 +397,39 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
     g["cls_b"] = np.array([gz_cls.sum()])
     g["reg_w"] = np.tensordot(gz_reg, hidden2d, axes=([0, 1, 2], [0, 2, 3]))
     g["reg_b"] = np.array([gz_reg.sum()])
-    gh2d = (params["cls_w"][None, :, None, None] * gz_cls[:, None]
-            + params["reg_w"][None, :, None, None] * gz_reg[:, None])
+    gh2d = np.empty_like(hidden2d)
+    for c, (wc, wr) in enumerate(zip(params["cls_w"], params["reg_w"])):
+        gh2d[:, c] = wc * gz_cls + wr * gz_reg
     gh2d *= hidden2d > 0.0
+    del hidden2d
 
-    greduced, g["pem_w"], g["pem_b"] = _conv_backward(
-        gh2d, reduced, params["pem_w"])
+    reduced = fwd.pop("reduced")
+    g["pem_w"], g["pem_b"] = _conv_weight_grad(gh2d, reduced,
+                                               params["pem_w"])
+    del reduced
+    greduced = _conv_input_grad(gh2d, params["pem_w"])
+    del gh2d
     gh2, g["reduce_w"], g["reduce_b"] = _proposal_reduce_backward(
         greduced, h2, fwd["sm"], fwd["w_r"], fwd["masks"])
+    del greduced
 
     h1, h2 = h1[:, :, None], h2[:, :, None]  # D = 1 maps
     gz_start = (g_start * p_start * (1.0 - p_start))[:, None, None, :]
     gz_end = (g_end * p_end * (1.0 - p_end))[:, None, None, :]
-    gh2_s, g["start_w"], g["start_b"] = _conv_backward(
+    g["start_w"], g["start_b"] = _conv_weight_grad(
         gz_start, h2, params["start_w"][:, :, None])
-    gh2_e, g["end_w"], g["end_b"] = _conv_backward(
+    g["end_w"], g["end_b"] = _conv_weight_grad(
         gz_end, h2, params["end_w"][:, :, None])
-    gh2 = gh2[:, :, None] + gh2_s + gh2_e
+    gh2 = (gh2[:, :, None]
+           + _conv_input_grad(gz_start, params["start_w"][:, :, None])
+           + _conv_input_grad(gz_end, params["end_w"][:, :, None]))
 
     gh2 *= h2 > 0.0
-    gh1, g["stem2_w"], g["stem2_b"] = _conv_backward(
+    g["stem2_w"], g["stem2_b"] = _conv_weight_grad(
         gh2, h1, params["stem2_w"][:, :, None])
+    gh1 = _conv_input_grad(gh2, params["stem2_w"][:, :, None])
     gh1 *= h1 > 0.0
-    _, g["stem1_w"], g["stem1_b"] = _conv_backward(
+    g["stem1_w"], g["stem1_b"] = _conv_weight_grad(
         gh1, fwd["x"][:, :, None], params["stem1_w"][:, :, None])
     return {name: g[name].reshape(params[name].shape) for name in params}
 

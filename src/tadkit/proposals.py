@@ -222,9 +222,10 @@ class MaskConfig:
 
     def validate(self) -> None:
         if not (0.0 <= self.p < 1.0):
-            raise ValueError(f"mask probability must be in [0, 1), got {self.p}")
+            raise ValueError(f"p must be in [0, 1), got {self.p}")
         if self.granularity not in ("proposal", "channel"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
+            raise ValueError(f"granularity must be 'proposal' or "
+                             f"'channel', got {self.granularity!r}")
 
 
 def draw_mask(shape: tuple[int, int, int], cfg: MaskConfig,

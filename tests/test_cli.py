@@ -140,6 +140,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=key):
             run_config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ('{"grid": {"expansion": NaN}}',
+         "grid.expansion must be finite and >= 0, got nan"),
+        ('{"model": {"kernel_size": 4}}',
+         "model.kernel_size must be a positive odd number"),
+        ('{"mask": {"p": 1.5}}', "mask.p must be in [0, 1), got 1.5"),
+    ])
+    def test_bad_network_value_names_its_section(self, tmp_path, capsys, raw,
+                                                 message):
+        path = tmp_path / "run.json"
+        path.write_text(raw)
+        assert main(["synth", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestMainErrors:
     def test_no_command_exits_nonzero(self, capsys):
@@ -353,6 +368,23 @@ class TestPipeline:
         err = self._command_error(pipeline, tmp_path, capsys,
                                 class_scores=str(path))
         assert vid in err and "entry 0" in err
+
+    def test_video_without_class_scores_leaves_no_files(
+            self, pipeline, tmp_path, capsys):
+        anns = load_annotations(pipeline / "annotations.json")
+        vid = max(v for v, a in anns.videos.items()
+                  if a.subset == "validation")
+        scores = json.loads((pipeline / "class_scores.json").read_text())
+        del scores[vid]
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(scores))
+        err = self._command_error(pipeline, tmp_path, capsys,
+                                class_scores=str(path))
+        assert f"no class scores for video {vid!r}" in err
+        bad = tmp_path / "bad"
+        assert not list((bad / "outputs").glob("*.npz"))
+        assert not (bad / "proposals.json").exists()
+        assert not (bad / "detections.json").exists()
 
     def test_empty_feature_file_is_one_error_line(self, pipeline, tmp_path,
                                                   capsys):

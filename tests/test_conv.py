@@ -1,15 +1,21 @@
 """The tap-window convolution against the per-tap reference implementation.
 
-``_conv``/``_conv_backward`` serve both the 1-D layers (as D = 1 maps) and
-the 2-D confidence layer. The reference below is the earlier
-copy-per-tap convolution, kept verbatim: every output and gradient must
-match it at 1e-12, relative to the largest magnitude of the reference.
+``_conv`` and its gradients, ``_conv_input_grad`` and ``_conv_weight_grad``,
+serve both the 1-D layers (as D = 1 maps) and the 2-D confidence layer. The
+reference below is the earlier copy-per-tap convolution, kept verbatim:
+every output and gradient must match it at 1e-12, relative to the largest
+magnitude of the reference.
 """
 
 import numpy as np
 import pytest
 
-from tadkit.model import _conv, _conv_backward
+from tadkit.model import _conv, _conv_input_grad, _conv_weight_grad
+
+
+def _conv_backward(gout, x, w):
+    """Gradients of _conv w.r.t. (x, w, b)."""
+    return (_conv_input_grad(gout, w), *_conv_weight_grad(gout, x, w))
 
 
 def _pad1d(x: np.ndarray, p: int) -> np.ndarray:

@@ -451,6 +451,19 @@ class TestModelIO:
         with pytest.raises(ModelIOError, match=rf"m\.cpnm.*{key}"):
             load_model(path)
 
+    @pytest.mark.parametrize("section, key", [("", "epochs"), ("mask", "p")])
+    def test_blob_missing_key_rejected(self, tmp_path, section, key):
+        cfg = tiny_config()
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        blob = asdict(cfg)
+        del (blob[section] if section else blob)[key]
+        self._with_blob(path, blob)
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ModelIOError,
+                           match=rf"m\.cpnm.*missing config key: {name}$"):
+            load_model(path)
+
     def test_blob_integral_float_loads_as_int(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "m.cpnm"
