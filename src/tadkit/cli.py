@@ -153,7 +153,11 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("annotation file has no training videos")
     features = {vid: dataio.load_features(_feature_path(rc, out, vid))
                 for vid in train_ids}
-    c_in = next(iter(features.values())).shape[1]
+    c_in = features[train_ids[0]].shape[1]
+    for vid, feats in features.items():
+        if feats.shape[1] != c_in:
+            raise ValueError(f"{vid}: feature file has {feats.shape[1]} "
+                             f"channels, expected {c_in}")
     cfg = dataclasses.replace(rc.model, c_in=c_in, seed=rc.seed)
     log.info("training on %d videos, c_in=%d", len(train_ids), c_in)
     params, history = train(anns, features, cfg, rc.preprocess)

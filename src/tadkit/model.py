@@ -17,23 +17,24 @@ Every convolution is one same-padding routine, ``_conv``, over (B, C, D, T)
 maps (the 1-D layers are D = 1), lowered to one small GEMM per kernel tap
 (arXiv 1709.03395): each sample is zero-padded into one reused buffer,
 flattened row by row at the padded width, so each tap reads one contiguous
-slice and the output columns that straddle two rows are dropped by a view.
+slice; its product is added to the C-contiguous output through a view that
+drops the columns that straddle two rows.
 The weight gradient pads each sample of the input and of the output
 gradient the same way; the input gradient is the forward routine with the
 kernel flipped and its channel axes swapped.
 
-A training step's memory is its full-size (B, C_h, D, T) float64 maps. The
-forward pass keeps two, ``reduced`` and ``hidden2d``; the convolution
-between them adds its output, and each head's ``tensordot`` a transposed
-copy of ``hidden2d``, which it frees on return. The backward pass takes
-both maps out of the forward's intermediates. It builds the heads' input
-gradient ``gh2d`` one channel at a time and frees ``hidden2d`` once its
-ReLU mask is applied, ``reduced`` once the ``pem`` weight gradient is
-summed, and ``gh2d`` once the ``pem`` input gradient is built; the
-proposal-reduction backward then holds that gradient and one masked
-contiguous copy of it. So about three maps are alive at the peak, with the
-(B, D, T) head maps and gradients beside them. No padded copy of a map is
-built.
+A training step's memory is its full-size (B, C_h, D, T) float64 maps, and
+it never holds more than two of them. The forward pass keeps ``reduced``
+and ``hidden2d``: the convolution writes ``hidden2d`` at its final size and
+its ReLU runs in place. Each head is one matmul over ``hidden2d`` flattened
+to (B, C_h, D*T), forward and backward, so no transposed copy is built. The
+backward pass takes both maps out of the forward's intermediates. It
+builds the heads' input gradient ``gh2d`` in ``hidden2d``'s own buffer,
+one channel at a time, then frees ``reduced`` once the ``pem`` weight
+gradient is summed and ``gh2d`` once the ``pem`` input gradient is built;
+the proposal-reduction backward then holds that gradient and one masked
+copy of it. Beside the two maps, the (B, D, T) head maps and gradients, the
+masks and ``W_r`` add about one map. No padded copy of a map is built.
 """
 
 from __future__ import annotations
@@ -256,26 +257,29 @@ def _padded(c: int, d: int, t: int, pd: int,
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padding convolution of (B, Ci, D, T) maps with an odd (Co, Ci,
-    KD, KT) kernel plus bias: (B, Co, D, T), a view that drops the padded
-    columns. Each sample is padded into one reused buffer; each tap (a, c)
-    adds w[:, :, a, c] times the buffer window at offset a*(T+2pt) + c.
-    One sample at a time, so its output stays in cache across taps."""
+    KD, KT) kernel plus bias: a C-contiguous (B, Co, D, T) array. Each
+    sample is padded into one reused buffer; each tap (a, c) multiplies
+    w[:, :, a, c] by the buffer window at offset a*(T+2pt) + c, at the
+    padded width, and adds the product's first T columns of each row to
+    the sample's output. One sample at a time, so its output stays in
+    cache across taps."""
     _, _, d, t = x.shape
-    _, _, kd, kt = w.shape
+    co, _, kd, kt = w.shape
     width = t + 2 * (kt // 2)
     n = d * width
     xp, inner = _padded(x.shape[1], d, t, kd // 2, kt // 2)
-    out = np.empty((x.shape[0], w.shape[0], n))
-    out[:] = b[None, :, None]
-    tmp = np.empty(out.shape[1:])
+    out = np.empty((x.shape[0], co, d, t))
+    out[:] = b[None, :, None, None]
+    tmp = np.empty((co, n))
+    kept = tmp.reshape(co, d, width)[..., :t]
     for o, xs in zip(out, x):
         inner[...] = xs
         for a in range(kd):
             for c in range(kt):
                 off = a * width + c
                 np.matmul(w[:, :, a, c], xp[:, off:off + n], out=tmp)
-                o += tmp
-    return out.reshape(*out.shape[:2], d, width)[..., :t]
+                o += kept
+    return out
 
 
 def _conv_input_grad(gout: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -332,12 +336,11 @@ def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
 def _proposal_reduce_backward(gout: np.ndarray, h2: np.ndarray,
                               sm: SamplingMatrix, w_r: np.ndarray,
                               masks: np.ndarray | None):
-    """Gradients of _proposal_reduce w.r.t. (h2, w, b)."""
+    """Gradients of _proposal_reduce w.r.t. (h2, w, b), for a C-contiguous
+    gout."""
     gb = np.array([gout.sum()])
-    if masks is None:
-        gout = np.ascontiguousarray(gout)
-    else:
-        gout = np.multiply(gout, masks, out=np.empty(gout.shape))
+    if masks is not None:
+        gout = gout * masks
     gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T), no copy
     gw = sm.reduction_weight_grad(gflat.T @ h2.reshape(gflat.shape[0], -1))
     return (gflat @ w_r).reshape(h2.shape), gw, gb
@@ -355,10 +358,11 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     T|1), or None; being constant over N, they are applied after the
     N-point reduction. The 1-D layers run as D = 1 maps and kernels.
     """
-    h1 = np.maximum(_conv(x[:, :, None], params["stem1_w"][:, :, None],
-                          params["stem1_b"]), 0.0)
-    h2 = np.maximum(_conv(h1, params["stem2_w"][:, :, None],
-                          params["stem2_b"]), 0.0)
+    h1 = _conv(x[:, :, None], params["stem1_w"][:, :, None],
+               params["stem1_b"])
+    np.maximum(h1, 0.0, out=h1)
+    h2 = _conv(h1, params["stem2_w"][:, :, None], params["stem2_b"])
+    np.maximum(h2, 0.0, out=h2)
     p_start = _sigmoid(_conv(h2, params["start_w"][:, :, None],
                              params["start_b"])[:, 0, 0])
     p_end = _sigmoid(_conv(h2, params["end_w"][:, :, None],
@@ -368,12 +372,14 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     sm = cfg.sampling_matrix()
     reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
                                     params["reduce_b"], masks)
-    hidden2d = np.maximum(_conv(reduced, params["pem_w"], params["pem_b"]),
-                          0.0)
-    p_cls = _sigmoid(np.tensordot(hidden2d, params["cls_w"],
-                                  axes=([1], [0])) + params["cls_b"][0])
-    p_reg = _sigmoid(np.tensordot(hidden2d, params["reg_w"],
-                                  axes=([1], [0])) + params["reg_b"][0])
+    hidden2d = _conv(reduced, params["pem_w"], params["pem_b"])
+    np.maximum(hidden2d, 0.0, out=hidden2d)
+    b, _, d, t = hidden2d.shape
+    flat = hidden2d.reshape(b, -1, d * t)
+    p_cls = _sigmoid((params["cls_w"] @ flat).reshape(b, d, t)
+                     + params["cls_b"][0])
+    p_reg = _sigmoid((params["reg_w"] @ flat).reshape(b, d, t)
+                     + params["reg_b"][0])
     return dict(x=x, h1=h1, h2=h2, reduced=reduced, hidden2d=hidden2d,
                 p_start=p_start, p_end=p_end, p_cls=p_cls, p_reg=p_reg,
                 masks=masks, sm=sm, w_r=w_r)
@@ -384,24 +390,26 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
                     g_reg: np.ndarray) -> dict[str, np.ndarray]:
     """Propagate output gradients back to every parameter. Takes the
     full-size maps ``reduced`` and ``hidden2d`` out of fwd, so that each is
-    freed after its last use."""
+    freed after its last use; ``hidden2d``'s buffer becomes ``gh2d``."""
     h1, h2 = fwd["h1"], fwd["h2"]
-    hidden2d = fwd.pop("hidden2d")
+    gh2d = fwd.pop("hidden2d")
     p_start, p_end, p_cls, p_reg = (fwd["p_start"], fwd["p_end"],
                                     fwd["p_cls"], fwd["p_reg"])
     g = {}
 
     gz_cls = g_cls * p_cls * (1.0 - p_cls)
     gz_reg = g_reg * p_reg * (1.0 - p_reg)
-    g["cls_w"] = np.tensordot(gz_cls, hidden2d, axes=([0, 1, 2], [0, 2, 3]))
+    b = len(gh2d)
+    flat = gh2d.reshape(b, gh2d.shape[1], -1)  # hidden2d, (B, C, D*T)
+    g["cls_w"] = (flat @ gz_cls.reshape(b, -1, 1)).sum(axis=0)
     g["cls_b"] = np.array([gz_cls.sum()])
-    g["reg_w"] = np.tensordot(gz_reg, hidden2d, axes=([0, 1, 2], [0, 2, 3]))
+    g["reg_w"] = (flat @ gz_reg.reshape(b, -1, 1)).sum(axis=0)
     g["reg_b"] = np.array([gz_reg.sum()])
-    gh2d = np.empty_like(hidden2d)
+    del flat
     for c, (wc, wr) in enumerate(zip(params["cls_w"], params["reg_w"])):
-        gh2d[:, c] = wc * gz_cls + wr * gz_reg
-    gh2d *= hidden2d > 0.0
-    del hidden2d
+        live = gh2d[:, c] > 0.0
+        np.add(wc * gz_cls, wr * gz_reg, out=gh2d[:, c])
+        gh2d[:, c] *= live
 
     reduced = fwd.pop("reduced")
     g["pem_w"], g["pem_b"] = _conv_weight_grad(gh2d, reduced,

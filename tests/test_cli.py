@@ -7,6 +7,7 @@ package and takes a few seconds.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from tadkit import cli
 from tadkit.cli import main
 from tadkit.config import (ConfigError, RunConfig, load_run_config,
                            run_config_from_dict)
-from tadkit.dataio import load_annotations, load_features
+from tadkit.dataio import load_annotations, load_features, save_features
 from tadkit.model import load_model, load_outputs, save_model, save_outputs
 from tadkit.postprocess import load_detections, load_proposals
 
@@ -398,6 +399,19 @@ class TestPipeline:
         err = self._command_error(pipeline, tmp_path, capsys,
                                 features_dir=str(feats))
         assert "T=0" in err
+
+    def test_train_feature_channel_mismatch_names_the_video(
+            self, pipeline, tmp_path, capsys):
+        feats = tmp_path / "features"
+        shutil.copytree(pipeline / "features", feats)
+        anns = load_annotations(pipeline / "annotations.json")
+        vid = [a.video_id for a in anns if a.subset == "training"][-1]
+        save_features(np.ones((20, 3)), feats / f"{vid}.feat")
+        err = self._command_error(pipeline, tmp_path, capsys,
+                                command="train", features_dir=str(feats))
+        assert err == (f"error: {vid}: feature file has 3 channels, "
+                       f"expected 4\n")
+        assert not (tmp_path / "bad" / "model.cpnm").exists()
 
     def test_non_finite_network_output_is_one_error_line(
             self, pipeline, tmp_path, capsys, monkeypatch):

@@ -1,13 +1,21 @@
 """The training step against the step before it was made memory-lean.
 
-The lean step pads one sample at a time into a reused buffer, builds the
-heads' input gradient one channel at a time and frees each full-size
-(B, C_h, D, T) map after its last use. It runs the same operations in the
-same order, so every output must be bit-identical to the earlier step,
-whose functions are kept verbatim below: the loss, all 16 parameter
-gradients and the four network outputs, at the A5 shape and the paper
-shape, for every mask setting. A memory test bounds the traced peak of one
-A5 step.
+The lean step pads one sample at a time into a reused buffer, writes each
+convolution's output at its final size, applies every ReLU in place, builds
+the heads' input gradient in the heads' input buffer one channel at a time
+and frees each full-size (B, C_h, D, T) map after its last use. It runs the
+same operations in the same order, so every output must be bit-identical
+to the earlier step, whose functions are kept below: the loss, all 16
+parameter gradients and the four network outputs, at the A5 shape and the
+paper shape, for every mask setting. A memory test bounds the traced peak
+of one A5 step.
+
+The earlier step is kept verbatim except for two swaps of code that the
+lean step runs too, and whose last bits differ from what they replaced:
+the heads, forward and weight gradients, are one matmul over the flattened
+map instead of ``np.tensordot`` (``tests/test_conv.py`` checks them against
+``tensordot`` at 1e-12), and ``_tap_sum`` returns a C-contiguous array, so
+that ``reduce_b``'s gradient sums the same contiguous array.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from tadkit.proposals import MaskConfig, SamplingMatrix
 from test_model import perturbed_params, random_sample
 
 
-# The earlier step, verbatim: _pad, _tap_sum, _conv, _conv_backward,
-# _proposal_reduce_backward, and _forward_batch and _backward_batch renamed
-# with an _old prefix.
+# The earlier step, verbatim but for the two swaps above: _pad, _tap_sum,
+# _conv, _conv_backward, _proposal_reduce_backward, and _forward_batch and
+# _backward_batch renamed with an _old prefix.
 
 def _pad(x: np.ndarray, pd: int, pt: int) -> np.ndarray:
     """(B, C, D, T) maps zero-padded by (pd, pt) on each side, flattened
@@ -57,7 +65,7 @@ def _tap_sum(xp: np.ndarray, w: np.ndarray, b: np.ndarray, d: int,
                 off = a * width + c
                 np.matmul(w[:, :, a, c], xs[:, off:off + n], out=tmp)
                 o += tmp
-    return out.reshape(*out.shape[:2], d, width)[..., :t]
+    return np.ascontiguousarray(out.reshape(*out.shape[:2], d, width)[..., :t])
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,10 +132,12 @@ def _old_forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
                                     params["reduce_b"], masks)
     hidden2d = np.maximum(_conv(reduced, params["pem_w"], params["pem_b"]),
                           0.0)
-    p_cls = _sigmoid(np.tensordot(hidden2d, params["cls_w"],
-                                  axes=([1], [0])) + params["cls_b"][0])
-    p_reg = _sigmoid(np.tensordot(hidden2d, params["reg_w"],
-                                  axes=([1], [0])) + params["reg_b"][0])
+    b, _, d, t = hidden2d.shape
+    flat = hidden2d.reshape(b, -1, d * t)
+    p_cls = _sigmoid((params["cls_w"] @ flat).reshape(b, d, t)
+                     + params["cls_b"][0])
+    p_reg = _sigmoid((params["reg_w"] @ flat).reshape(b, d, t)
+                     + params["reg_b"][0])
     return dict(x=x, h1=h1, h2=h2, reduced=reduced, hidden2d=hidden2d,
                 p_start=p_start, p_end=p_end, p_cls=p_cls, p_reg=p_reg,
                 masks=masks, sm=sm, w_r=w_r)
@@ -145,9 +155,11 @@ def _old_backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
 
     gz_cls = g_cls * p_cls * (1.0 - p_cls)
     gz_reg = g_reg * p_reg * (1.0 - p_reg)
-    g["cls_w"] = np.tensordot(gz_cls, hidden2d, axes=([0, 1, 2], [0, 2, 3]))
+    b = len(hidden2d)
+    flat = hidden2d.reshape(b, hidden2d.shape[1], -1)
+    g["cls_w"] = (flat @ gz_cls.reshape(b, -1, 1)).sum(axis=0)
     g["cls_b"] = np.array([gz_cls.sum()])
-    g["reg_w"] = np.tensordot(gz_reg, hidden2d, axes=([0, 1, 2], [0, 2, 3]))
+    g["reg_w"] = (flat @ gz_reg.reshape(b, -1, 1)).sum(axis=0)
     g["reg_b"] = np.array([gz_reg.sum()])
     gh2d = (params["cls_w"][None, :, None, None] * gz_cls[:, None]
             + params["reg_w"][None, :, None, None] * gz_reg[:, None])
@@ -227,7 +239,7 @@ def test_inference_is_bit_identical_to_earlier_forward(shape):
 
 
 def test_a5_step_peak_memory_is_bounded():
-    """One A5 step (B = 32) holds at most five (B, C_h, D, T) float64 maps
+    """One A5 step (B = 32) holds at most 3.75 (B, C_h, D, T) float64 maps
     at once; the earlier step held about 7.4."""
     spec = SHAPES["a5"]
     cfg = ModelConfig(c_in=16, mask=MaskConfig(p=0.1), batch_size=32, seed=0,
@@ -244,4 +256,4 @@ def test_a5_step_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * unit, f"peak {peak / unit:.2f} maps"
+    assert peak <= 3.75 * unit, f"peak {peak / unit:.2f} maps"
