@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextvars
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -30,7 +29,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
                     forward, load_model, load_outputs, save_model,
                     save_outputs, train)
-from .preprocess import remove_long_coverage, resample_short
+from .preprocess import epoch_list
 from .proposals import ProposalGrid, proposal_grid
 
 log = logging.getLogger("tadkit")
@@ -87,12 +86,6 @@ def _feature_path(rc: RunConfig, out: Path, video_id: str) -> Path:
         / f"{video_id}.feat"
 
 
-def _write_json(doc: object, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _map_videos(worker, items: list, threads: int) -> list:
     """Apply worker over items, optionally with a thread pool; the result
     order always follows the input order. Workers run in a copy of the
@@ -131,15 +124,9 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
     anns = _load_annotation_file(rc, out)
-    pp = rc.preprocess
-    filtered = remove_long_coverage(anns, pp.theta_long) \
-        if pp.enable_remove_long else anns
-    if pp.enable_resample_short:
-        epoch = resample_short(filtered, pp.theta_short, pp.repeat_factor)
-    else:
-        epoch = [a.video_id for a in filtered if a.subset == "training"]
+    filtered, epoch = epoch_list(anns, rc.preprocess)
     dataio.save_annotations(filtered, out / "annotations_preprocessed.json")
-    _write_json(epoch, out / "epoch_list.json")
+    dataio.write_json(epoch, out / "epoch_list.json")
     print(f"kept {len(filtered)} of {len(anns)} videos; epoch list has "
           f"{len(epoch)} entries")
     return 0
@@ -162,7 +149,7 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     log.info("training on %d videos, c_in=%d", len(train_ids), c_in)
     params, history = train(anns, features, cfg, rc.preprocess)
     save_model(out / "model.cpnm", cfg, params)
-    _write_json(history, out / "train_log.json")
+    dataio.write_json(history, out / "train_log.json")
     tail = f"; final mean loss {history[-1]['mean_loss']:.4f}" \
         if history else ""
     print(f"trained {cfg.epochs} epochs on {len(train_ids)} videos{tail}")
@@ -279,7 +266,7 @@ def cmd_eval_proposals(rc: RunConfig, args: argparse.Namespace) -> int:
         print(metrics.format_ar_report(curve, auc_value))
     else:
         print(metrics.format_ar_report(curve, float("nan")))
-    _write_json(doc, out / "proposal_report.json")
+    dataio.write_json(doc, out / "proposal_report.json")
     return 0
 
 
@@ -290,8 +277,8 @@ def cmd_eval_detections(rc: RunConfig, args: argparse.Namespace) -> int:
         _artifact(rc.paths.detections, out, "detections.json"))
     gt = metrics.detection_ground_truth(anns, rc.eval.subset)
     report = metrics.average_map(dets, gt)
-    _write_json(metrics.map_report_to_dict(report),
-                out / "detection_report.json")
+    dataio.write_json(metrics.map_report_to_dict(report),
+                      out / "detection_report.json")
     print(metrics.format_map_report(report))
     return 0
 

@@ -25,12 +25,12 @@ file accept the same ones.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataio import SUBSETS, SynthConfig, typed_fields, typed_value
+from .dataio import (SUBSETS, SynthConfig, read_json, typed_fields,
+                     typed_value)
 from .model import ModelConfig
 from .preprocess import PreprocessConfig
 from .proposals import MaskConfig
@@ -196,9 +196,4 @@ def run_config_from_dict(raw: object) -> RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    return run_config_from_dict(raw)
+    return run_config_from_dict(read_json(path, ConfigError))

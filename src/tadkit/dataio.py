@@ -16,6 +16,9 @@ Conventions used across the package:
   u32 T, u32 C, then T*C IEEE-754 float32 values, time-major.
 * Class scores are JSON: ``{"<video_id>": [{"label": ..., "score": ...}]}``
   with scores sorted non-increasing and labels unique per video.
+* Every JSON artifact (annotations, class scores, run config, proposals,
+  detections, reports, logs) is read by ``read_json`` and written by
+  ``write_json``: sorted keys, one-space indent, a final newline.
 * A JSON config object (a run config section, a model file's config blob)
   is read by ``typed_fields``: each key must name a dataclass field and
   its value must fit the field's type.
@@ -51,6 +54,21 @@ class FeatureIOError(IOError):
 
 class SynthesisError(ValueError):
     """Synthetic-dataset config is invalid or infeasible."""
+
+
+def read_json(path: str | Path, error: type[Exception]) -> object:
+    """The JSON file at path, parsed; raises error naming a malformed file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+
+
+def write_json(doc: object, path: str | Path) -> None:
+    """Write doc as the package's JSON text, in one write."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
+                          encoding="utf-8")
 
 
 def typed_value(where: str, value: object, tp: object) -> object:
@@ -154,14 +172,6 @@ class AnnotationSet:
             raise ValueError(f"unknown subset {name!r}")
         return [v for v in self if v.subset == name]
 
-    def validate(self) -> None:
-        for vid, ann in self.videos.items():
-            if vid != ann.video_id:
-                raise AnnotationError(
-                    f"key {vid!r} does not match video_id {ann.video_id!r}"
-                )
-            ann.validate()
-
 
 def load_annotations(path: str | Path) -> AnnotationSet:
     """Load and validate an annotation JSON file.
@@ -169,11 +179,7 @@ def load_annotations(path: str | Path) -> AnnotationSet:
     Raises FileNotFoundError, AnnotationError (malformed JSON or invariant
     violations; the message names the video and instance index).
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: malformed JSON: {exc}") from exc
+    raw = read_json(path, AnnotationError)
     if not isinstance(raw, dict) or "database" not in raw:
         raise AnnotationError(f"{path}: missing top-level 'database' object")
     database = raw["database"]
@@ -211,8 +217,7 @@ def save_annotations(anns: AnnotationSet, path: str | Path) -> None:
         }
         for ann in anns
     }
-    Path(path).write_text(json.dumps({"database": database}, sort_keys=True,
-                                     indent=1))
+    write_json({"database": database}, path)
 
 
 def load_features(path: str | Path) -> np.ndarray:
@@ -268,10 +273,7 @@ def load_class_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     Raises AnnotationError naming the file, the video and, for a bad entry,
     its index.
     """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: malformed JSON: {exc}") from exc
+    raw = read_json(path, AnnotationError)
     if not isinstance(raw, dict):
         raise AnnotationError(f"{path}: top level must be an object")
     scores: dict[str, list[tuple[str, float]]] = {}
@@ -307,7 +309,7 @@ def save_class_scores(scores: dict[str, list[tuple[str, float]]],
               for la, s in sorted(pairs, key=lambda p: -p[1])]
         for vid, pairs in scores.items()
     }
-    Path(path).write_text(json.dumps(out, sort_keys=True, indent=1))
+    write_json(out, path)
 
 
 def rescale_features(features: np.ndarray, t_target: int) -> np.ndarray:

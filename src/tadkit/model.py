@@ -50,7 +50,8 @@ import numpy as np
 
 from .dataio import (AnnotationSet, VideoAnnotation, rescale_features,
                      typed_fields)
-from .preprocess import PreprocessConfig, resize_instance, temporal_shift
+from .preprocess import (PreprocessConfig, epoch_list, resize_instance,
+                         temporal_shift)
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
                         build_sampling_matrix, draw_mask, gt_iou_map,
                         proposal_grid)
@@ -591,12 +592,18 @@ def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
     return total / b, g_start, g_end, g_cls, g_reg
 
 
+def _forward_loss(params: dict, batch: list[TrainSample], cfg: ModelConfig,
+                  noise: StepNoise) -> tuple[dict, tuple]:
+    """The batch's forward pass and what _output_grads returns for it."""
+    fwd = _forward_batch(params, np.stack([s.features for s in batch]), cfg,
+                         noise.masks)
+    return fwd, _output_grads(fwd, batch, cfg, noise)
+
+
 def batch_loss(params: dict, batch: list[TrainSample], cfg: ModelConfig,
                noise: StepNoise) -> float:
     """Mean total loss of a batch under fixed realized randomness."""
-    x = np.stack([s.features for s in batch])
-    fwd = _forward_batch(params, x, cfg, noise.masks)
-    total, *_ = _output_grads(fwd, batch, cfg, noise)
+    _, (total, *_) = _forward_loss(params, batch, cfg, noise)
     return total
 
 
@@ -605,11 +612,8 @@ def loss_and_gradients(params: dict, batch: list[TrainSample],
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and its exact gradient w.r.t. every parameter, for the
     given realized masks and regression cell sets."""
-    x = np.stack([s.features for s in batch])
-    fwd = _forward_batch(params, x, cfg, noise.masks)
-    total, g_start, g_end, g_cls, g_reg = _output_grads(fwd, batch, cfg, noise)
-    grads = _backward_batch(params, fwd, g_start, g_end, g_cls, g_reg)
-    return total, grads
+    fwd, (total, *out_grads) = _forward_loss(params, batch, cfg, noise)
+    return total, _backward_batch(params, fwd, *out_grads)
 
 
 def compute_gradients(params: dict, batch: list[TrainSample],
@@ -658,20 +662,13 @@ def train(anns: AnnotationSet, features: dict[str, np.ndarray],
     Returns the trained parameters and a per-epoch log of mean losses.
     With epochs == 0 the freshly initialized parameters are returned.
     """
-    from .preprocess import remove_long_coverage, resample_short
-
     cfg.validate()
     pp = preprocess_cfg if preprocess_cfg is not None else PreprocessConfig()
     pp.validate()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
 
-    work = remove_long_coverage(anns, pp.theta_long) \
-        if pp.enable_remove_long else anns
-    if pp.enable_resample_short:
-        epoch_ids = resample_short(work, pp.theta_short, pp.repeat_factor)
-    else:
-        epoch_ids = [a.video_id for a in work if a.subset == "training"]
+    work, epoch_ids = epoch_list(anns, pp)
     if not epoch_ids:
         raise ValueError("no training videos after preprocessing")
 

@@ -6,8 +6,12 @@ assignment, multi-model ensembling, and the JSON interchange formats.
 Candidates stay arrays until suppression is done: ``fuse_scores`` returns
 one ``(n_valid, 3)`` float64 array of ``[start, end, score]`` rows, and
 ``soft_nms`` takes any such array-like and builds ``Proposal`` rows only
-for its at most ``max_out`` survivors. A ``Proposal`` is a named tuple, so
-``np.asarray`` of a list of them is that same array. JSON layouts:
+for its at most ``max_out`` survivors. Both row types are named tuples:
+``Proposal(start, end, score)``, so ``np.asarray`` of a list of them is
+that same array, and ``Detection(start, end, label, score)``. One codec
+reads both files: each entry is checked once (a list of two finite
+numbers as the segment, start < end, a finite score >= 0), and an error
+names the file, the video and the entry. JSON layouts:
 
 * proposals: ``{"results": {"<video_id>": [{"score": s,
   "segment": [start, end]}, ...]}}``
@@ -21,15 +25,13 @@ callers may parallelize across videos freely.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import rescale_features
+from .dataio import read_json, rescale_features, write_json
 from .model import NetworkOutputs
 from .proposals import ProposalGrid
 
@@ -37,41 +39,20 @@ DETECTION_VERSION = "VERSION 1.3"
 
 
 class Proposal(NamedTuple):
-    """A candidate segment [start, end) in seconds with a fused score.
-
-    A proposal is one ``[start, end, score]`` row: ``np.asarray`` of a list
-    of proposals is the ``(n, 3)`` array that ``soft_nms`` takes.
-    """
+    """A candidate segment [start, end) in seconds with a fused score."""
 
     start: float
     end: float
     score: float
 
-    def validate(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(f"proposal start {self.start} must be < end "
-                             f"{self.end}")
-        if not (math.isfinite(self.score) and self.score >= 0.0):
-            raise ValueError(f"proposal score must be finite and >= 0, "
-                             f"got {self.score}")
 
-
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """A labeled segment [start, end) in seconds with a detection score."""
 
     start: float
     end: float
     label: str
     score: float
-
-    def validate(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(f"detection start {self.start} must be < end "
-                             f"{self.end}")
-        if not (math.isfinite(self.score) and self.score >= 0.0):
-            raise ValueError(f"detection score must be finite and >= 0, "
-                             f"got {self.score}")
 
 
 def fuse_scores(out: NetworkOutputs, grid: ProposalGrid,
@@ -208,40 +189,54 @@ def ensemble_maps(outputs: list[NetworkOutputs],
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+def _checked_row(entry: dict) -> tuple[float, float, float]:
+    """An entry's start, end and score: its segment must be a list of two
+    finite numbers with start < end, its score a finite number >= 0."""
+    seg, score = entry["segment"], entry["score"]
+    if type(seg) is list and len(seg) == 2:
+        start, end = seg
+        if {type(start), type(end), type(score)} <= {int, float} \
+                and -math.inf < start < end < math.inf \
+                and 0 <= score < math.inf:
+            return float(start), float(end), float(score)
+    raise ValueError(f"need a segment of two finite numbers with start < end "
+                     f"and a finite score >= 0, got segment {seg!r}, score "
+                     f"{score!r}")
+
+
+def _load_results(path: str | Path, kind: str,
+                  labeled: bool) -> dict[str, list]:
+    """The per-video Detection rows (labeled) or Proposal rows of a file;
+    raises ValueError naming the file and any bad video and entry."""
+    raw = read_json(path, ValueError)
+    results = raw.get("results") if isinstance(raw, dict) else None
+    if not isinstance(results, dict):
+        raise ValueError(f"{path}: top-level 'results' must be an object")
+    rows: dict[str, list] = {}
+    for vid, entries in results.items():
+        where = f"{path}: video {vid!r}"
+        if not isinstance(entries, list):
+            raise ValueError(f"{where}: {kind}s must be a list")
+        rows[vid] = out = []
+        for i, entry in enumerate(entries):
+            try:
+                start, end, score = _checked_row(entry)
+                out.append(Detection(start, end, str(entry["label"]), score)
+                           if labeled else Proposal(start, end, score))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{where}, {kind} {i}: {exc}") from exc
+    return rows
+
+
 def save_proposals(props: dict[str, list[Proposal]],
                    path: str | Path) -> None:
-    results = {
+    write_json({"results": {
         vid: [{"score": p.score, "segment": [p.start, p.end]} for p in plist]
-        for vid, plist in props.items()
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"results": results}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        for vid, plist in props.items()}}, path)
 
 
 def load_proposals(path: str | Path) -> dict[str, list[Proposal]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "results" not in raw:
-        raise ValueError(f"{path}: missing top-level 'results'")
-    props: dict[str, list[Proposal]] = {}
-    for vid, plist in raw["results"].items():
-        out = []
-        for i, entry in enumerate(plist):
-            try:
-                seg = entry["segment"]
-                p = Proposal(float(seg[0]), float(seg[1]),
-                             float(entry["score"]))
-                p.validate()
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: video {vid!r}, proposal {i}: {exc}") from exc
-            out.append(p)
-        props[vid] = out
-    return props
+    return _load_results(path, "proposal", labeled=False)
 
 
 def save_detections(dets: dict[str, list[Detection]],
@@ -249,35 +244,10 @@ def save_detections(dets: dict[str, list[Detection]],
     results = {
         vid: [{"label": d.label, "score": d.score,
                "segment": [d.start, d.end]} for d in dlist]
-        for vid, dlist in dets.items()
-    }
-    doc = {"version": DETECTION_VERSION, "results": results,
-           "external_data": {}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        for vid, dlist in dets.items()}
+    write_json({"version": DETECTION_VERSION, "results": results,
+                "external_data": {}}, path)
 
 
 def load_detections(path: str | Path) -> dict[str, list[Detection]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "results" not in raw:
-        raise ValueError(f"{path}: missing top-level 'results'")
-    dets: dict[str, list[Detection]] = {}
-    for vid, dlist in raw["results"].items():
-        out = []
-        for i, entry in enumerate(dlist):
-            try:
-                seg = entry["segment"]
-                d = Detection(float(seg[0]), float(seg[1]),
-                              str(entry["label"]), float(entry["score"]))
-                d.validate()
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: video {vid!r}, detection {i}: {exc}") from exc
-            out.append(d)
-        dets[vid] = out
-    return dets
+    return _load_results(path, "detection", labeled=True)

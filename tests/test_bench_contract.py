@@ -19,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from tadkit.config import run_config_from_dict
+from tadkit.postprocess import (Detection, Proposal, load_detections,
+                                load_proposals, save_detections,
+                                save_proposals)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -75,3 +78,20 @@ def test_workload_run_configs_parse(tmp_path):
     for name, workload in workloads.items():
         raw = workload.run_config(tmp_path / "inputs", tmp_path / "out", 0)
         run_config_from_dict(raw)  # raises ConfigError naming the key
+
+
+
+@pytest.mark.parametrize("save, load, row", [
+    (save_proposals, load_proposals, Proposal(1.0, 2.5, 0.75)),
+    (save_detections, load_detections, Detection(1.0, 2.5, "run", 0.75)),
+], ids=["proposals", "detections"])
+def test_loaded_rows_expose_what_check_outputs_reads(tmp_path, save, load,
+                                                     row):
+    """bench/run.py's check_outputs reads .start, .end and .score off the
+    rows that load_proposals and load_detections return."""
+    path = tmp_path / "rows.json"
+    save({"v": [row]}, path)
+    (loaded,) = load(path)["v"]
+    for attr in ("start", "end", "score"):
+        assert isinstance(getattr(loaded, attr, None), float), \
+            f"bench/run.py's check_outputs reads .{attr} off a loaded row"

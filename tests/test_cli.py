@@ -387,6 +387,27 @@ class TestPipeline:
         assert not (bad / "proposals.json").exists()
         assert not (bad / "detections.json").exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("eval-proposals", "proposals"), ("eval-detections", "detections")])
+    @pytest.mark.parametrize("results, vid", [
+        ([], None),
+        ({"v": 5}, "v"),
+        *[({"v": [{"label": "x", "score": 0.5, "segment": seg}]}, "v")
+          for seg in ([1, float("inf")], [float("-inf"), 3], [1, 3, 9],
+                      "12")],
+    ], ids=["results-list", "video-not-list", "end-inf", "start-inf",
+            "three-numbers", "string"])
+    def test_malformed_results_is_one_error_line(
+            self, pipeline, tmp_path, capsys, command, key, results, vid):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"version": "VERSION 1.3",
+                                    "results": results}))
+        err = self._command_error(pipeline, tmp_path, capsys,
+                                command=command, **{key: str(path)})
+        assert str(path) in err
+        if vid is not None:
+            assert f"video {vid!r}" in err
+
     def test_empty_feature_file_is_one_error_line(self, pipeline, tmp_path,
                                                   capsys):
         feats = tmp_path / "features"

@@ -12,7 +12,7 @@ from tadkit.dataio import (AnnotationError, AnnotationSet, FeatureIOError,
                            VideoAnnotation, load_annotations,
                            load_class_scores, load_features, rescale_features,
                            save_annotations, save_class_scores, save_features,
-                           synth_dataset)
+                           synth_dataset, write_json)
 
 
 def write_annotation_json(path, database):
@@ -216,6 +216,28 @@ class TestClassScores:
         p.write_text('{"v": [')
         with pytest.raises(AnnotationError, match="malformed JSON"):
             load_class_scores(p)
+
+
+class TestJsonText:
+    def test_write_json_is_sorted_indented_with_final_newline(self, tmp_path):
+        doc = {"b": [1.5, {"d": None, "c": "x"}], "a": 2}
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        assert path.read_text() == json.dumps(doc, sort_keys=True,
+                                              indent=1) + "\n"
+
+    def test_non_utf8_file_is_malformed_json(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_bytes(b'{"database": "\xff"}')
+        with pytest.raises(AnnotationError, match="a.json: malformed JSON"):
+            load_annotations(path)
+
+    def test_annotations_and_class_scores_end_in_newline(self, tmp_path):
+        anns, _, scores = synth_dataset(SynthConfig(n_videos=3, seed=1))
+        save_annotations(anns, tmp_path / "a.json")
+        save_class_scores(scores, tmp_path / "s.json")
+        for name in ("a.json", "s.json"):
+            assert (tmp_path / name).read_text().endswith("}\n")
 
 
 class TestRescaleFeatures:

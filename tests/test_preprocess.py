@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tadkit.dataio import AnnotationSet, Instance, VideoAnnotation
-from tadkit.preprocess import (PreprocessConfig, instance_coverage,
-                               interval_union_length, remove_long_coverage,
-                               resample_short, resize_instance,
-                               resize_instance_at, temporal_shift)
+from tadkit.preprocess import (PreprocessConfig, epoch_list,
+                               instance_coverage, interval_union_length,
+                               remove_long_coverage, resample_short,
+                               resize_instance, resize_instance_at,
+                               temporal_shift)
 
 
 def make_set(*videos):
@@ -116,6 +117,24 @@ class TestResampleShort:
             rf = int(rng.integers(1, 4))
             epoch = resample_short(make_set(*vids), 0.05, rf)
             assert len(epoch) == len(vids) + (rf - 1) * n_short
+
+
+class TestEpochList:
+    @pytest.mark.parametrize("remove_long", [True, False])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_composes_removal_and_resampling(self, remove_long, resample):
+        anns = make_set(video("full", 10.0, [(0.0, 10.0)]),
+                        video("short", 100.0, [(0.0, 1.0)]),
+                        video("plain", 100.0, [(0.0, 50.0)]),
+                        video("val", 10.0, [(0.0, 10.0)], subset="validation"))
+        pp = PreprocessConfig(enable_remove_long=remove_long,
+                              enable_resample_short=resample)
+        kept, epoch = epoch_list(anns, pp)
+        assert list(kept.videos) == (["short", "plain", "val"] if remove_long
+                                     else ["full", "short", "plain", "val"])
+        head = [] if remove_long else ["full"]
+        assert epoch == head + (["short", "short", "plain"] if resample
+                                else ["short", "plain"])
 
 
 class TestResizeInstance:
