@@ -1,14 +1,13 @@
 """Command-line pipeline driver.
 
-Subcommands: synth, preprocess, train, infer, eval-proposals,
-eval-detections, ensemble. All take the global flags --config, --seed,
---threads and --out; everything else comes from the JSON run config
-(flags win over the file). Per-video stages honor --threads; --threads 1
-guarantees bitwise-reproducible outputs for a fixed seed. Errors exit
-nonzero with a single ``error: <message>`` line on stderr; numpy
-floating-point warnings are silenced, because every non-finite result
-already ends in its own error. The TADKIT_LOG environment variable sets the
-log level (DEBUG, INFO, ...).
+Subcommands: synth, train, infer, eval-proposals, eval-detections,
+ensemble. All take the global flags --config, --seed, --threads and --out;
+everything else comes from the JSON run config (flags win over the file).
+Per-video stages honor --threads; --threads 1 guarantees
+bitwise-reproducible outputs for a fixed seed. Errors exit nonzero with a
+single ``error: <message>`` line on stderr; numpy floating-point warnings
+are silenced, because every non-finite result already ends in its own
+error.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import argparse
 import contextvars
 import dataclasses
-import logging
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,27 +26,14 @@ from .config import ConfigError, RunConfig, load_run_config
 from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
                     forward, load_model, load_outputs, save_model,
                     save_outputs, train)
-from .preprocess import epoch_list
 from .proposals import ProposalGrid, proposal_grid
-
-log = logging.getLogger("tadkit")
 
 _ERRORS = (ConfigError, ModelIOError, TrainingDivergedError, ValueError,
            OSError)
 
 
-def _setup_logging() -> None:
-    level = getattr(logging, os.environ.get("TADKIT_LOG", "WARNING").upper(),
-                    logging.WARNING)
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        rc = load_run_config(args.config)
-    else:
-        rc = RunConfig()
+    rc = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
@@ -121,17 +105,6 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(rc, args)
-    anns = _load_annotation_file(rc, out)
-    filtered, epoch = epoch_list(anns, rc.preprocess)
-    dataio.save_annotations(filtered, out / "annotations_preprocessed.json")
-    dataio.write_json(epoch, out / "epoch_list.json")
-    print(f"kept {len(filtered)} of {len(anns)} videos; epoch list has "
-          f"{len(epoch)} entries")
-    return 0
-
-
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
     anns = _load_annotation_file(rc, out)
@@ -146,18 +119,13 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
             raise ValueError(f"{vid}: feature file has {feats.shape[1]} "
                              f"channels, expected {c_in}")
     cfg = dataclasses.replace(rc.model, c_in=c_in, seed=rc.seed)
-    log.info("training on %d videos, c_in=%d", len(train_ids), c_in)
     params, history = train(anns, features, cfg, rc.preprocess)
     save_model(out / "model.cpnm", cfg, params)
     dataio.write_json(history, out / "train_log.json")
-    tail = f"; final mean loss {history[-1]['mean_loss']:.4f}" \
-        if history else ""
+    tail = ("; kept {n_videos}, {n_samples} samples per epoch, final mean "
+            "loss {mean_loss:.4f}".format(**history[-1])) if history else ""
     print(f"trained {cfg.epochs} epochs on {len(train_ids)} videos{tail}")
     return 0
-
-
-def _model_path(rc: RunConfig, out: Path) -> Path:
-    return _artifact(rc.paths.model, out, "model.cpnm")
 
 
 def _subset_annotations(rc: RunConfig,
@@ -229,7 +197,7 @@ def _propose_all(run_one, selected: list[dataio.VideoAnnotation],
 
 def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
-    cfg, params = load_model(_model_path(rc, out))
+    cfg, params = load_model(_artifact(rc.paths.model, out, "model.cpnm"))
     selected = _subset_annotations(rc, out)
     grid = proposal_grid(cfg.t_scale, cfg.d_max)
     out_dir = out / "outputs"
@@ -318,8 +286,6 @@ def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
 
 _COMMANDS = [
     ("synth", cmd_synth, "generate a synthetic dataset"),
-    ("preprocess", cmd_preprocess,
-     "filter annotations and build the training epoch list"),
     ("train", cmd_train, "train a model on the training subset"),
     ("infer", cmd_infer,
      "run a model over a subset and write outputs and proposals"),
@@ -355,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):

@@ -4,9 +4,9 @@ The file is a single object with a top-level ``seed`` and one section per
 concern: ``paths``, ``synth``, ``grid``, ``mask``, ``model``,
 ``preprocess``, ``postprocess``, ``eval``, ``ensemble``. Parsing is strict:
 an unknown key anywhere, a value of the wrong JSON type, or a network value
-out of range, is rejected by name (``section.key``). In commands the top-level seed overrides any
-per-section seed field, so one value controls a whole run; flags override
-the file.
+out of range, is rejected by name (``section.key``). In commands the
+top-level seed overrides any per-section seed field, so one value controls
+a whole run; flags override the file.
 
 Three sections make up the network's one config, ``RunConfig.model``, a
 ``model.ModelConfig``:
@@ -21,6 +21,11 @@ top-level seed; that one seed also draws every training mask.
 ``ModelConfig.validate`` is the one check of these values, and
 ``dataio.typed_fields`` the one type check, so a run config and a model
 file accept the same ones.
+
+``preprocess`` (a ``PreprocessConfig``, which ``train`` reads) sets
+``theta_long``, ``theta_short``, ``repeat_factor``, ``resize_lo``,
+``resize_hi``, ``shift_fraction`` and the switches ``enable_remove_long``,
+``enable_resample_short``, ``enable_resize``, ``enable_shift``.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class PathsConfig:
     model: str = ""
     proposals: str = ""
     detections: str = ""
-
-    def validate(self) -> None:
-        pass
 
 
 @dataclass
@@ -112,8 +114,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for section in ("paths", "synth", "model", "preprocess",
-                        "postprocess", "eval", "ensemble"):
+        for section in ("synth", "model", "preprocess", "postprocess",
+                        "eval", "ensemble"):
             try:
                 getattr(self, section).validate()
             except ConfigError:
@@ -128,6 +130,7 @@ _SECTIONS = {
     "paths": PathsConfig,
     "synth": SynthConfig,
     "mask": MaskConfig,
+    "preprocess": PreprocessConfig,
     "postprocess": PostprocessConfig,
     "eval": EvalConfig,
     "ensemble": EnsembleConfig,
@@ -153,18 +156,6 @@ def _model_error(message: str) -> str:
     return f"{key} {rest}"
 
 
-def _preprocess_from_dict(raw: object) -> PreprocessConfig:
-    """The preprocess section exposes the resize range as two scalars."""
-    types = typing.get_type_hints(PreprocessConfig)
-    del types["resize_factor_range"]
-    types.update(resize_lo=float, resize_hi=float)
-    kwargs = typed_fields("preprocess", raw, types)
-    lo, hi = PreprocessConfig().resize_factor_range
-    kwargs["resize_factor_range"] = (kwargs.pop("resize_lo", lo),
-                                     kwargs.pop("resize_hi", hi))
-    return PreprocessConfig(**kwargs)
-
-
 def run_config_from_dict(raw: object) -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown keys and
     values of the wrong type."""
@@ -180,8 +171,6 @@ def run_config_from_dict(raw: object) -> RunConfig:
             elif key in _MODEL_KEYS:
                 model.update(typed_fields(
                     key, value, {k: model_types[k] for k in _MODEL_KEYS[key]}))
-            elif key == "preprocess":
-                kwargs[key] = _preprocess_from_dict(value)
             elif key in _SECTIONS:
                 cls = _SECTIONS[key]
                 (model if key == "mask" else kwargs)[key] = cls(

@@ -173,11 +173,26 @@ class AnnotationSet:
         return [v for v in self if v.subset == name]
 
 
+def _video_annotation(vid: str, entry: object) -> VideoAnnotation:
+    """A type-checked database entry; extra keys (``url``) are ignored."""
+    entry = typed_value("entry", entry, dict)
+    instances = []
+    for i, a in enumerate(typed_value(
+            "annotations", entry.get("annotations", []), list[dict])):
+        start, end = typed_value(f"instance {i} segment", a["segment"],
+                                 tuple[float, float])
+        instances.append(Instance(float(start), float(end), typed_value(
+            f"instance {i} label", a["label"], str)))
+    return VideoAnnotation(
+        vid, float(typed_value("duration", entry["duration"], float)),
+        typed_value("subset", entry["subset"], str), instances)
+
+
 def load_annotations(path: str | Path) -> AnnotationSet:
     """Load and validate an annotation JSON file.
 
-    Raises FileNotFoundError, AnnotationError (malformed JSON or invariant
-    violations; the message names the video and instance index).
+    Raises FileNotFoundError, AnnotationError (malformed JSON, a wrong type
+    or a broken invariant; the message names file, video and instance).
     """
     raw = read_json(path, AnnotationError)
     if not isinstance(raw, dict) or "database" not in raw:
@@ -189,17 +204,13 @@ def load_annotations(path: str | Path) -> AnnotationSet:
     videos: dict[str, VideoAnnotation] = {}
     for vid, entry in database.items():
         try:
-            duration = float(entry["duration"])
-            subset = str(entry["subset"])
-            instances = [
-                Instance(float(a["segment"][0]), float(a["segment"][1]),
-                         str(a["label"]))
-                for a in entry.get("annotations", [])
-            ]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise AnnotationError(f"video {vid!r}: bad entry: {exc}") from exc
-        ann = VideoAnnotation(vid, duration, subset, instances)
-        ann.validate()
+            ann = _video_annotation(vid, entry)
+            ann.validate()
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise AnnotationError(
+                f"{path}: video {vid!r}: bad entry: {exc}") from exc
+        except AnnotationError as exc:  # from validate, which names the video
+            raise AnnotationError(f"{path}: {exc}") from exc
         videos[vid] = ann
     return AnnotationSet(videos)
 
@@ -284,11 +295,12 @@ def load_class_scores(path: str | Path) -> dict[str, list[tuple[str, float]]]:
         pairs = []
         for i, e in enumerate(entries):
             try:
-                pairs.append((str(e["label"]), float(e["score"])))
-            except (KeyError, TypeError, ValueError) as exc:
+                pairs.append((typed_value("label", e["label"], str),
+                              float(typed_value("score", e["score"], float))))
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise AnnotationError(
-                    f"{where}, entry {i}: expected an object with 'label' "
-                    f"and numeric 'score': {exc!r}") from exc
+                    f"{where}, entry {i}: expected an object with a string "
+                    f"'label' and a numeric 'score': {exc!r}") from exc
         labels = [la for la, _ in pairs]
         if len(set(labels)) != len(labels):
             raise AnnotationError(f"{where}: duplicate class labels")

@@ -634,20 +634,18 @@ def compute_gradients(params: dict, batch: list[TrainSample],
 
 def prepare_sample(video_id: str, anns: AnnotationSet,
                    features: dict[str, np.ndarray], cfg: ModelConfig,
-                   pp: PreprocessConfig, rng: np.random.Generator | None,
-                   augment: bool = True) -> TrainSample:
+                   pp: PreprocessConfig, rng: np.random.Generator
+                   ) -> TrainSample:
     """Rescale one video to the model scale and build its targets; applies
     the resize/shift augmentations with probability 0.5 each when enabled."""
     ann = anns[video_id]
     feats = features[video_id]
-    if augment and rng is not None:
-        if pp.enable_resize and ann.instances and rng.random() < 0.5:
-            feats, ann = resize_instance(feats, ann, rng,
-                                         pp.resize_factor_range)
+    if pp.enable_resize and ann.instances and rng.random() < 0.5:
+        feats, ann = resize_instance(feats, ann, rng,
+                                     (pp.resize_lo, pp.resize_hi))
     seq = rescale_features(feats, cfg.t_scale)
-    if augment and rng is not None:
-        if pp.enable_shift and rng.random() < 0.5:
-            seq = temporal_shift(seq, pp.shift_fraction)
+    if pp.enable_shift and rng.random() < 0.5:
+        seq = temporal_shift(seq, pp.shift_fraction)
     return TrainSample(np.ascontiguousarray(seq.T),
                        boundary_labels(ann, cfg.t_scale),
                        gt_iou_map(cfg.grid(), ann), video_id)
@@ -659,7 +657,8 @@ def train(anns: AnnotationSet, features: dict[str, np.ndarray],
     """Train with gradient descent plus momentum; single-threaded and
     deterministic for a fixed seed.
 
-    Returns the trained parameters and a per-epoch log of mean losses.
+    Returns the trained parameters and a per-epoch log: mean loss, steps,
+    the epoch list's length (n_samples) and its distinct videos (n_videos).
     With epochs == 0 the freshly initialized parameters are returned.
     """
     cfg.validate()
@@ -671,6 +670,7 @@ def train(anns: AnnotationSet, features: dict[str, np.ndarray],
     work, epoch_ids = epoch_list(anns, pp)
     if not epoch_ids:
         raise ValueError("no training videos after preprocessing")
+    n_videos = len(set(epoch_ids))
 
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     log: list[dict] = []
@@ -692,7 +692,8 @@ def train(anns: AnnotationSet, features: dict[str, np.ndarray],
                 params[k] += velocity[k]
             losses.append(loss)
         log.append({"epoch": epoch, "mean_loss": float(np.mean(losses)),
-                    "n_steps": len(losses)})
+                    "n_steps": len(losses), "n_samples": len(epoch_ids),
+                    "n_videos": n_videos})
     return params, log
 
 

@@ -221,7 +221,9 @@ def _load_results(path: str | Path, kind: str,
         for i, entry in enumerate(entries):
             try:
                 start, end, score = _checked_row(entry)
-                out.append(Detection(start, end, str(entry["label"]), score)
+                if labeled and type(label := entry["label"]) is not str:
+                    raise TypeError(f"label must be str, got {label!r}")
+                out.append(Detection(start, end, label, score)
                            if labeled else Proposal(start, end, score))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{where}, {kind} {i}: {exc}") from exc

@@ -21,7 +21,8 @@ class PreprocessConfig:
     theta_long: float = 0.98
     theta_short: float = 0.05
     repeat_factor: int = 2
-    resize_factor_range: tuple[float, float] = (0.8, 1.25)
+    resize_lo: float = 0.8
+    resize_hi: float = 1.25
     shift_fraction: float = 0.125
     enable_remove_long: bool = True
     enable_resample_short: bool = True
@@ -35,9 +36,9 @@ class PreprocessConfig:
             raise ValueError("theta_short must be >= 0")
         if self.repeat_factor < 1:
             raise ValueError("repeat_factor must be >= 1")
-        lo, hi = self.resize_factor_range
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"bad resize_factor_range {self.resize_factor_range}")
+        if not (0.0 < self.resize_lo <= self.resize_hi):
+            raise ValueError(f"need 0 < resize_lo <= resize_hi, got resize_lo="
+                             f"{self.resize_lo}, resize_hi={self.resize_hi}")
         if not (0.0 <= self.shift_fraction <= 0.5):
             raise ValueError("shift_fraction must be in [0, 0.5]")
 

@@ -541,7 +541,7 @@ def test_a7_cli_determinism(tmp_path):
             }
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(cfg))
-            for command in ("synth", "preprocess", "train", "infer"):
+            for command in ("synth", "train", "infer"):
                 code = main([command, "--config", str(cfg_path),
                              "--threads", "1"])
                 assert code == 0, f"{command} failed on run {name}"

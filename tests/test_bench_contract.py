@@ -2,12 +2,13 @@
 
 ``bench/`` reaches into tadkit by name: ``bench/traced_cli.py`` wraps the
 functions listed in its ``TRACED`` table, the other scripts import public
-names, and each workload writes a run config that the CLI must parse. A
-rename or deletion in tadkit would otherwise surface only when the
-benchmark runs (a traced run fails on a missing attribute, a command on a
-config key), so these tests read ``bench/`` and check every such name and
-config against the library. They only read the benchmark's files; no
-benchmark command runs.
+names, and each workload writes a run config that the CLI must parse
+and runs subcommands that the CLI must have. A rename or deletion in
+tadkit would otherwise surface only when the benchmark runs (a traced run
+fails on a missing attribute, a command on a config key or an unknown
+subcommand), so these tests read ``bench/`` and check every such name,
+config and command against the library. They only read the benchmark's
+files; no benchmark command runs.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from tadkit.cli import _COMMANDS
 from tadkit.config import run_config_from_dict
 from tadkit.postprocess import (Detection, Proposal, load_detections,
                                 load_proposals, save_detections,
@@ -78,6 +80,16 @@ def test_workload_run_configs_parse(tmp_path):
     for name, workload in workloads.items():
         raw = workload.run_config(tmp_path / "inputs", tmp_path / "out", 0)
         run_config_from_dict(raw)  # raises ConfigError naming the key
+
+
+def test_workload_commands_are_cli_subcommands():
+    commands = {name for name, _, _ in _COMMANDS}
+    for name, workload in _load_bench_module("workloads").WORKLOADS.items():
+        assert workload.commands
+        for command in workload.commands:
+            assert command in commands, \
+                f"bench workload {name} runs tadkit {command}, which is " \
+                f"no tadkit subcommand"
 
 
 

@@ -23,6 +23,7 @@ from tadkit.config import (ConfigError, RunConfig, load_run_config,
 from tadkit.dataio import load_annotations, load_features, save_features
 from tadkit.model import load_model, load_outputs, save_model, save_outputs
 from tadkit.postprocess import load_detections, load_proposals
+from tadkit.preprocess import epoch_list
 
 
 class TestRunConfig:
@@ -58,7 +59,7 @@ class TestRunConfig:
         rc = run_config_from_dict(
             {"preprocess": {"resize_lo": 0.9, "resize_hi": 1.1,
                             "enable_resize": True}})
-        assert rc.preprocess.resize_factor_range == (0.9, 1.1)
+        assert (rc.preprocess.resize_lo, rc.preprocess.resize_hi) == (0.9, 1.1)
         assert rc.preprocess.enable_resize
 
     def test_preprocess_rejects_internal_field_name(self):
@@ -210,9 +211,21 @@ class TestMainErrors:
         assert not out.exists()
 
 
+_ROW = {"label": "x", "score": 0.5, "segment": [1, 3]}
+# Malformed "results" objects: test id, results, the video the error names.
+_BAD_RESULTS = [
+    ("results-list", [], None),
+    ("video-not-list", {"v": 5}, "v"),
+    *[(name, {"v": [{**_ROW, "segment": seg}]}, "v")
+      for name, seg in [("end-inf", [1, float("inf")]),
+                        ("start-inf", [float("-inf"), 3]),
+                        ("three-numbers", [1, 3, 9]), ("string", "12")]],
+]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Run synth -> preprocess -> train -> infer -> eval on one tiny
+    """Run synth -> train -> infer -> eval on one tiny
     dataset; later tests inspect the artifacts."""
     root = tmp_path_factory.mktemp("pipeline")
     cfg = {
@@ -235,8 +248,8 @@ def pipeline(tmp_path_factory):
     cfg_path = root / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     flags = ["--config", str(cfg_path)]
-    for command in (["synth"], ["preprocess"], ["train"], ["infer"],
-                    ["eval-proposals"], ["eval-detections"]):
+    for command in (["synth"], ["train"], ["infer"], ["eval-proposals"],
+                    ["eval-detections"]):
         assert main(command + flags) == 0, f"{command} failed"
     return root
 
@@ -251,15 +264,24 @@ class TestPipeline:
         scores = json.loads((pipeline / "class_scores.json").read_text())
         assert set(scores) == set(anns.videos)
 
-    def test_preprocess_artifacts(self, pipeline):
-        out = pipeline / "out"
-        kept = load_annotations(out / "annotations_preprocessed.json")
-        assert set(kept.videos) <= set(
-            load_annotations(pipeline / "annotations.json").videos)
-        epochs = json.loads((out / "epoch_list.json").read_text())
-        assert set(epochs) <= {v.video_id
-                               for v in kept.videos.values()
-                               if v.subset == "training"}
+    def test_train_log_counts_the_epoch_list(self, pipeline, tmp_path,
+                                             capsys):
+        anns = load_annotations(pipeline / "annotations.json")
+        rc = load_run_config(pipeline / "run.json")
+        kept, epochs = epoch_list(anns, rc.preprocess)
+        assert set(kept.videos) <= set(anns.videos)
+        kept_train = {v.video_id for v in kept.videos.values()
+                      if v.subset == "training"}
+        assert set(epochs) <= kept_train
+        log = json.loads((pipeline / "out" / "train_log.json").read_text())
+        assert [(e["n_samples"], e["n_videos"]) for e in log] \
+            == [(len(epochs), len(kept_train))] * rc.model.epochs
+        capsys.readouterr()
+        assert main(["train", "--config", str(pipeline / "run.json"),
+                     "--out", str(tmp_path)]) == 0
+        summary = capsys.readouterr().out
+        assert f"kept {len(kept_train)}, {len(epochs)} samples per epoch" \
+            in summary
 
     def test_train_artifacts(self, pipeline):
         out = pipeline / "out"
@@ -387,18 +409,19 @@ class TestPipeline:
         assert not (bad / "proposals.json").exists()
         assert not (bad / "detections.json").exists()
 
-    @pytest.mark.parametrize("command, key", [
-        ("eval-proposals", "proposals"), ("eval-detections", "detections")])
-    @pytest.mark.parametrize("results, vid", [
-        ([], None),
-        ({"v": 5}, "v"),
-        *[({"v": [{"label": "x", "score": 0.5, "segment": seg}]}, "v")
-          for seg in ([1, float("inf")], [float("-inf"), 3], [1, 3, 9],
-                      "12")],
-    ], ids=["results-list", "video-not-list", "end-inf", "start-inf",
-            "three-numbers", "string"])
+    @pytest.mark.parametrize("results, vid, command, key", [
+        *[pytest.param(results, vid, command, key,
+                       id=f"{name}-{command}-{key}")
+          for name, results, vid in _BAD_RESULTS
+          for command, key in [("eval-proposals", "proposals"),
+                               ("eval-detections", "detections")]],
+        # Proposals carry no label, so only a detection file can have a bad
+        # one.
+        pytest.param({"v": [{**_ROW, "label": 7}]}, "v", "eval-detections",
+                     "detections", id="label-int-eval-detections-detections"),
+    ])
     def test_malformed_results_is_one_error_line(
-            self, pipeline, tmp_path, capsys, command, key, results, vid):
+            self, pipeline, tmp_path, capsys, results, vid, command, key):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({"version": "VERSION 1.3",
                                     "results": results}))
@@ -407,6 +430,22 @@ class TestPipeline:
         assert str(path) in err
         if vid is not None:
             assert f"video {vid!r}" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("duration", "30"), ("segment", "12"), ("segment", [1, 3, 9]),
+        ("label", 7), ("segment", [1, 1e9])],
+        ids=["duration-string", "segment-string", "segment-three-numbers",
+             "label-int", "segment-past-end"])
+    def test_malformed_annotations_is_one_error_line(
+            self, pipeline, tmp_path, capsys, key, value):
+        raw = json.loads((pipeline / "annotations.json").read_text())
+        vid, entry = next(iter(raw["database"].items()))
+        (entry if key == "duration" else entry["annotations"][0])[key] = value
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(raw))
+        err = self._command_error(pipeline, tmp_path, capsys,
+                                  annotations=str(path))
+        assert str(path) in err and f"video {vid!r}" in err
 
     def test_empty_feature_file_is_one_error_line(self, pipeline, tmp_path,
                                                   capsys):

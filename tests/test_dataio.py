@@ -57,6 +57,39 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match="bad_vid") as err:
             load_annotations(p)
         assert "1" in str(err.value)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("entry", [
+        {"duration": "30", "subset": "training"},
+        {"duration": 30, "subset": "training",
+         "annotations": [{"segment": "12", "label": "a"}]},
+        {"duration": 30, "subset": "training",
+         "annotations": [{"segment": [1, 3, 9], "label": "a"}]},
+        {"duration": 30, "subset": "training",
+         "annotations": [{"segment": [1, 3], "label": 7}]},
+        {"duration": 30, "subset": "training", "annotations": {"a": 1}},
+        {"duration": 30},
+        [30, "training"],
+    ], ids=["duration-string", "segment-string", "segment-three-numbers",
+            "label-int", "annotations-object", "missing-subset",
+            "entry-list"])
+    def test_wrong_type_names_file_and_video(self, tmp_path, entry):
+        p = write_annotation_json(tmp_path / "a.json", {"v1": entry})
+        with pytest.raises(AnnotationError) as err:
+            load_annotations(p)
+        assert str(p) in str(err.value) and "'v1'" in str(err.value)
+
+    def test_integers_load_as_floats_and_extra_keys_pass(self, tmp_path):
+        p = write_annotation_json(tmp_path / "a.json", {
+            "v1": {"duration": 30, "subset": "training",
+                   "url": "https://example.com/v1",
+                   "annotations": [{"segment": [1, 3], "label": "a"}]}
+        })
+        ann = load_annotations(p)["v1"]
+        assert ann.instances == [Instance(1.0, 3.0, "a")]
+        assert all(type(x) is float for x in
+                   (ann.duration, ann.instances[0].start,
+                    ann.instances[0].end))
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "a.json"
@@ -194,6 +227,9 @@ class TestClassScores:
         {"label": "b"},               # missing score
         {"label": "b", "score": "x"},  # non-numeric score
         "b",                          # entry is not an object
+        {"label": 7, "score": 0.5},   # non-string label
+        {"label": "b", "score": True},  # bool score
+        {"label": "b", "score": "0.5"},  # numeric string score
     ])
     def test_bad_entry_names_file_video_and_index(self, tmp_path, entry):
         p = tmp_path / "s.json"
