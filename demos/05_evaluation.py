@@ -8,7 +8,7 @@ jittered segment, detections with a duplicate and a wrong label.
 import numpy as np
 
 from tadkit import (AnnotationSet, Detection, Instance, Proposal,
-                    VideoAnnotation, ar_at_an, ar_curve, auc, average_map,
+                    VideoAnnotation, ar_curve, auc, average_map,
                     detection_ground_truth, proposal_ground_truth)
 from tadkit.metrics import format_ar_report, format_map_report
 
@@ -36,7 +36,7 @@ props = {
 gt = proposal_ground_truth(anns)
 print("recall rises with the proposal budget AN:")
 for an in (1, 2, 3):
-    print(f"  AR@{an} = {ar_at_an(props, gt, an):.4f}")
+    print(f"  AR@{an} = {float(ar_curve(props, gt, an).ar[-1]):.4f}")
 
 curve = ar_curve(props, gt, an_max=100)
 print("\n" + format_ar_report(curve, auc(curve)))

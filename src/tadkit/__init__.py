@@ -16,8 +16,8 @@ from .dataio import (AnnotationError, AnnotationSet, FeatureIOError,
                      load_annotations, load_class_scores, load_features,
                      rescale_features, save_annotations, save_class_scores,
                      save_features, synth_dataset)
-from .metrics import (ARCurve, MapReport, ap_at_tiou, ar_at_an, ar_curve,
-                      auc, average_map, detection_ground_truth,
+from .metrics import (ARCurve, MapReport, ap_at_tiou, ar_curve, auc,
+                      average_map, detection_ground_truth,
                       proposal_ground_truth)
 from .model import (BoundaryLabels, ModelConfig, ModelIOError,
                     NetworkOutputs, TrainingDivergedError, TrainSample,
@@ -45,7 +45,7 @@ __all__ = [
     "PreprocessConfig", "Proposal", "ProposalGrid", "RunConfig",
     "SamplingMatrix", "SynthConfig", "SynthesisError",
     "TrainingDivergedError", "TrainSample", "VideoAnnotation", "ap_at_tiou",
-    "ar_at_an", "ar_curve", "assemble_detections", "auc", "average_map",
+    "ar_curve", "assemble_detections", "auc", "average_map",
     "boundary_labels", "build_sampling_matrix", "compute_gradients",
     "detection_ground_truth", "draw_mask", "ensemble_maps", "forward",
     "fuse_scores", "gt_iou_map", "init_params", "instance_coverage",

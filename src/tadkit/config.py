@@ -3,8 +3,12 @@
 The file is a single object with a top-level ``seed`` and one section per
 concern: ``paths``, ``synth``, ``grid``, ``mask``, ``model``,
 ``preprocess``, ``postprocess``, ``eval``, ``ensemble``. Parsing is strict:
-an unknown key anywhere, a value of the wrong JSON type, or a network value
-out of range, is rejected by name (``section.key``). In commands the
+an unknown key anywhere, a value of the wrong JSON type, or a value out of
+range, is rejected by name. Each section's ``validate`` states the range of
+each of its keys once, through ``dataio.require``, as the comparison that a
+valid value passes. Every float key must be finite, so NaN, ``Infinity``
+and an overflowing literal such as ``1e999`` all fail, and every range
+error reads ``section.key must be <bound>, got <value>``. In commands the
 top-level seed overrides any per-section seed field, so one value controls
 a whole run; flags override the file.
 
@@ -18,9 +22,10 @@ Three sections make up the network's one config, ``RunConfig.model``, a
 
 ``train`` fills in ``c_in`` from the feature files and ``seed`` from the
 top-level seed; that one seed also draws every training mask.
-``ModelConfig.validate`` is the one check of these values, and
+``ModelConfig.validate`` is the one range check of these values, and
 ``dataio.typed_fields`` the one type check, so a run config and a model
-file accept the same ones.
+file accept the same ones; ``model.MODEL_KEYS`` says which section sets
+which field, for the parser and for the names in those checks' errors.
 
 ``preprocess`` (a ``PreprocessConfig``, which ``train`` reads) sets
 ``theta_long``, ``theta_short``, ``repeat_factor``, ``resize_lo``,
@@ -30,13 +35,14 @@ file accept the same ones.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataio import (SUBSETS, SynthConfig, read_json, typed_fields,
+from .dataio import (SUBSETS, SynthConfig, read_json, require, typed_fields,
                      typed_value)
-from .model import ModelConfig
+from .model import MODEL_KEYS, ModelConfig
 from .preprocess import PreprocessConfig
 from .proposals import MaskConfig
 
@@ -64,14 +70,14 @@ class PostprocessConfig:
     top_k: int = 2
 
     def validate(self) -> None:
-        # Written so that NaN, which JSON parsing accepts, fails too.
-        if not self.sigma > 0:
-            raise ConfigError("postprocess.sigma must be > 0")
-        if not self.score_floor >= 0:
-            raise ConfigError("postprocess.score_floor must be >= 0")
-        if self.max_out < 1 or self.top_k < 1:
-            raise ConfigError("postprocess.max_out and postprocess.top_k "
-                              "must be >= 1")
+        def check(ok: bool, key: str, bound: str) -> None:
+            require(ok, f"postprocess.{key}", bound, getattr(self, key))
+
+        check(0 < self.sigma < math.inf, "sigma", "finite and > 0")
+        check(0 <= self.score_floor < math.inf, "score_floor",
+              "finite and >= 0")
+        check(self.max_out >= 1, "max_out", ">= 1")
+        check(self.top_k >= 1, "top_k", ">= 1")
 
 
 @dataclass
@@ -80,11 +86,9 @@ class EvalConfig:
     an_max: int = 100
 
     def validate(self) -> None:
-        if self.subset not in SUBSETS:
-            raise ConfigError(f"eval.subset must be one of "
-                              f"{sorted(SUBSETS)}, got {self.subset!r}")
-        if self.an_max < 1:
-            raise ConfigError("eval.an_max must be >= 1")
+        require(self.subset in SUBSETS, "eval.subset",
+                f"one of {sorted(SUBSETS)}", repr(self.subset))
+        require(self.an_max >= 1, "eval.an_max", ">= 1", self.an_max)
 
 
 @dataclass
@@ -93,11 +97,11 @@ class EnsembleConfig:
     weights: list[float] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.weights and len(self.weights) != len(self.inputs):
-            raise ConfigError(f"ensemble: {len(self.weights)} weights for "
-                              f"{len(self.inputs)} inputs")
-        if any(w < 0 for w in self.weights):
-            raise ConfigError("ensemble.weights must be nonnegative")
+        w = self.weights
+        require(not w or len(w) == len(self.inputs), "ensemble.weights",
+                f"one per ensemble.inputs entry ({len(self.inputs)})", w)
+        require(all(0 <= x < math.inf for x in w) and (not w or sum(w) > 0),
+                "ensemble.weights", "finite and >= 0 with a positive sum", w)
 
 
 @dataclass
@@ -112,18 +116,13 @@ class RunConfig:
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        for section in ("synth", "model", "preprocess", "postprocess",
-                        "eval", "ensemble"):
-            try:
-                getattr(self, section).validate()
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                if section == "model":
-                    raise ConfigError(_model_error(str(exc))) from exc
-                raise ConfigError(f"{section}: {exc}") from exc
+        try:
+            require(self.seed >= 0, "seed", ">= 0", self.seed)
+            for section in (self.synth, self.model, self.preprocess,
+                            self.postprocess, self.eval, self.ensemble):
+                section.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _SECTIONS = {
@@ -135,25 +134,6 @@ _SECTIONS = {
     "eval": EvalConfig,
     "ensemble": EnsembleConfig,
 }
-
-# The ModelConfig fields that the grid and model sections set; the mask
-# section becomes its MaskConfig, and c_in and the seed are set by train.
-_MODEL_KEYS = {
-    "grid": ("t_scale", "d_max", "n_samples", "expansion"),
-    "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
-              "learning_rate", "momentum", "epochs", "batch_size"),
-}
-
-
-def _model_error(message: str) -> str:
-    """A ModelConfig.validate message, whose first word names the field it
-    rejects, with that field put under the section that sets it."""
-    key, _, rest = message.partition(" ")
-    if "." not in key:  # a mask field already reads mask.<field>
-        section = next((s for s, keys in _MODEL_KEYS.items() if key in keys),
-                       "model")
-        key = f"{section}.{key}"
-    return f"{key} {rest}"
 
 
 def run_config_from_dict(raw: object) -> RunConfig:
@@ -168,9 +148,9 @@ def run_config_from_dict(raw: object) -> RunConfig:
         for key, value in raw.items():
             if key == "seed":
                 kwargs["seed"] = typed_value("seed", value, int)
-            elif key in _MODEL_KEYS:
+            elif key in MODEL_KEYS:
                 model.update(typed_fields(
-                    key, value, {k: model_types[k] for k in _MODEL_KEYS[key]}))
+                    key, value, {k: model_types[k] for k in MODEL_KEYS[key]}))
             elif key in _SECTIONS:
                 cls = _SECTIONS[key]
                 (model if key == "mask" else kwargs)[key] = cls(

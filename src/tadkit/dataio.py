@@ -21,7 +21,10 @@ Conventions used across the package:
   ``write_json``: sorted keys, one-space indent, a final newline.
 * A JSON config object (a run config section, a model file's config blob)
   is read by ``typed_fields``: each key must name a dataclass field and
-  its value must fit the field's type.
+  its value must fit the field's type. Each config's ``validate`` then
+  checks its ranges through ``require``, one comparison per key that a
+  valid value passes, so NaN fails every bound and infinity every bound
+  that says "finite": ``<section>.<key> must be <bound>, got <value>``.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ def typed_value(where: str, value: object, tp: object) -> object:
         return int(value)
     name = tp.__name__ if origin is None else str(tp)
     raise TypeError(f"{where} must be {name}, got {value!r}")
+
+
+def require(ok: bool, key: str, bound: str, value: object,
+            error: type[Exception] = ValueError) -> None:
+    """Raise error naming key, its bound and the value it got, unless ok."""
+    if not ok:
+        raise error(f"{key} must be {bound}, got {value}")
 
 
 def typed_fields(where: str, raw: object, types: dict[str, object]) -> dict:
@@ -369,30 +379,25 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_videos < 0:
-            raise SynthesisError("n_videos must be >= 0")
-        if self.channels < 1 or self.n_classes < 1:
-            raise SynthesisError("channels and n_classes must be positive")
+        def check(ok: bool, key: str, bound: str) -> None:
+            require(ok, f"synth.{key}", bound, getattr(self, key),
+                    SynthesisError)
+
+        check(self.n_videos >= 0, "n_videos", ">= 0")
+        check(self.channels >= 1, "channels", ">= 1")
+        check(self.n_classes >= 1, "n_classes", ">= 1")
         t_lo, t_hi = self.t_raw_range
-        if not (1 <= t_lo <= t_hi):
-            raise SynthesisError(f"bad t_raw_range {self.t_raw_range}")
+        check(1 <= t_lo <= t_hi, "t_raw_range", "[lo, hi] with 1 <= lo <= hi")
         k_lo, k_hi = self.instances_range
-        if not (0 <= k_lo <= k_hi):
-            raise SynthesisError(f"bad instances_range {self.instances_range}")
+        check(0 <= k_lo <= k_hi, "instances_range",
+              "[lo, hi] with 0 <= lo <= hi")
         f_lo, f_hi = self.frac_range
-        if not (0.0 < f_lo <= f_hi <= 1.0):
-            raise SynthesisError(
-                f"frac_range must be within (0, 1], got {self.frac_range}"
-            )
-        if f_lo * k_hi > 1.0:
-            raise SynthesisError(
-                f"infeasible config: min fraction {f_lo} x max instances "
-                f"{k_hi} exceeds the video"
-            )
-        if self.noise_std < 0:
-            raise SynthesisError("noise_std must be >= 0")
-        if not (0.0 <= self.val_fraction <= 1.0):
-            raise SynthesisError("val_fraction must be in [0, 1]")
+        check(0 < f_lo <= f_hi <= 1, "frac_range",
+              "[lo, hi] with 0 < lo <= hi <= 1")
+        check(f_lo * k_hi <= 1, "frac_range",
+              f"low enough that {k_hi} instances fit one video")
+        check(0 <= self.noise_std < math.inf, "noise_std", "finite and >= 0")
+        check(0 <= self.val_fraction <= 1, "val_fraction", "in [0, 1]")
 
 
 def _draw_instance_layout(rng: np.random.Generator, t_raw: int, count: int,

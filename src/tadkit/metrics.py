@@ -82,12 +82,6 @@ def _ranked_segments(props: list[Proposal], limit: int) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 2)
 
 
-def ar_at_an(props: dict[str, list[Proposal]], gt: dict[str, np.ndarray],
-             an: int, thresholds: np.ndarray | None = None) -> float:
-    """Average recall with each video truncated to its top-an proposals."""
-    return float(ar_curve(props, gt, an, thresholds).ar[-1])
-
-
 def ar_curve(props: dict[str, list[Proposal]], gt: dict[str, np.ndarray],
              an_max: int = DEFAULT_AN_MAX,
              thresholds: np.ndarray | None = None) -> ARCurve:

@@ -40,6 +40,7 @@ masks and ``W_r`` add about one map. No padded copy of a map is built.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import typing
 import zipfile
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (AnnotationSet, VideoAnnotation, rescale_features,
-                     typed_fields)
+                     require, typed_fields)
 from .preprocess import (PreprocessConfig, epoch_list, resize_instance,
                          temporal_shift)
 from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
@@ -68,6 +69,15 @@ class ModelIOError(IOError):
 
 class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+# The ModelConfig fields that the grid and model sections of a run config
+# set; the mask section is its MaskConfig, and train sets c_in and seed.
+MODEL_KEYS = {
+    "grid": ("t_scale", "d_max", "n_samples", "expansion"),
+    "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
+              "learning_rate", "momentum", "epochs", "batch_size"),
+}
 
 
 @dataclass
@@ -94,37 +104,28 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise ValueError for a value out of range. Each message starts
-        with the one field it rejects, ``mask.<field>`` for a mask field;
-        the run config maps that name back to its JSON section."""
-        for name in ("c_in", "c_h", "t_scale", "d_max", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got "
-                                 f"{getattr(self, name)}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be a positive odd number")
-        if self.d_max > self.t_scale:
-            raise ValueError("d_max must not exceed t_scale")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        # Written so that NaN, which JSON parsing accepts, fails too.
-        for name in ("expansion", "lambda_cls", "lambda_reg"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got "
-                                 f"{value}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got "
-                             f"{self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got "
-                             f"{self.momentum}")
-        try:
-            self.mask.validate()
-        except ValueError as exc:
-            raise ValueError(f"mask.{exc}") from None
+        """Raise ValueError naming the run-config ``section.key`` of a value
+        out of range; ``c_in`` and ``seed`` belong to no section."""
+        def check(ok: bool, key: str, bound: str) -> None:
+            section = next((s for s, keys in MODEL_KEYS.items()
+                            if key in keys), None)
+            require(ok, f"{section}.{key}" if section else key, bound,
+                    getattr(self, key))
+
+        for key in ("c_in", "c_h", "t_scale", "d_max", "batch_size"):
+            check(getattr(self, key) >= 1, key, ">= 1")
+        check(self.kernel_size >= 1 and self.kernel_size % 2 == 1,
+              "kernel_size", "a positive odd number")
+        check(self.d_max <= self.t_scale, "d_max",
+              f"<= grid.t_scale ({self.t_scale})")
+        check(self.n_samples >= 2, "n_samples", ">= 2")
+        check(self.epochs >= 0, "epochs", ">= 0")
+        for key in ("expansion", "lambda_cls", "lambda_reg"):
+            check(0 <= getattr(self, key) < math.inf, key, "finite and >= 0")
+        check(0 < self.learning_rate < math.inf, "learning_rate",
+              "finite and > 0")
+        check(0 <= self.momentum < 1, "momentum", "in [0, 1)")
+        self.mask.validate()
 
     def grid(self) -> ProposalGrid:
         return proposal_grid(self.t_scale, self.d_max)

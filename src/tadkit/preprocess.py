@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import AnnotationSet, Instance, VideoAnnotation, rescale_features
+from .dataio import (AnnotationSet, Instance, VideoAnnotation,
+                     rescale_features, require)
 
 
 @dataclass
@@ -30,17 +31,17 @@ class PreprocessConfig:
     enable_shift: bool = False
 
     def validate(self) -> None:
-        if not (0.0 < self.theta_long <= 1.0):
-            raise ValueError(f"theta_long must be in (0, 1], got {self.theta_long}")
-        if self.theta_short < 0:
-            raise ValueError("theta_short must be >= 0")
-        if self.repeat_factor < 1:
-            raise ValueError("repeat_factor must be >= 1")
-        if not (0.0 < self.resize_lo <= self.resize_hi):
-            raise ValueError(f"need 0 < resize_lo <= resize_hi, got resize_lo="
-                             f"{self.resize_lo}, resize_hi={self.resize_hi}")
-        if not (0.0 <= self.shift_fraction <= 0.5):
-            raise ValueError("shift_fraction must be in [0, 0.5]")
+        def check(ok: bool, key: str, bound: str) -> None:
+            require(ok, f"preprocess.{key}", bound, getattr(self, key))
+
+        check(0 < self.theta_long <= 1, "theta_long", "in (0, 1]")
+        check(0 <= self.theta_short < math.inf, "theta_short",
+              "finite and >= 0")
+        check(self.repeat_factor >= 1, "repeat_factor", ">= 1")
+        check(0 < self.resize_lo < math.inf, "resize_lo", "finite and > 0")
+        check(self.resize_lo <= self.resize_hi < math.inf, "resize_hi",
+              f"finite and >= preprocess.resize_lo ({self.resize_lo})")
+        check(0 <= self.shift_fraction <= 0.5, "shift_fraction", "in [0, 0.5]")
 
 
 def interval_union_length(intervals: list[tuple[float, float]]) -> float:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dataio import VideoAnnotation
+from .dataio import VideoAnnotation, require
 
 
 @dataclass(frozen=True)
@@ -221,11 +221,10 @@ class MaskConfig:
     granularity: str = "proposal"  # or "channel"
 
     def validate(self) -> None:
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError(f"p must be in [0, 1), got {self.p}")
-        if self.granularity not in ("proposal", "channel"):
-            raise ValueError(f"granularity must be 'proposal' or "
-                             f"'channel', got {self.granularity!r}")
+        require(0 <= self.p < 1, "mask.p", "in [0, 1)", self.p)
+        require(self.granularity in ("proposal", "channel"),
+                "mask.granularity", "'proposal' or 'channel'",
+                repr(self.granularity))
 
 
 def draw_mask(shape: tuple[int, int, int], cfg: MaskConfig,

@@ -6,24 +6,46 @@ package and takes a few seconds.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tadkit
-from tadkit import cli
+from tadkit import cli, config
 from tadkit.cli import main
 from tadkit.config import (ConfigError, RunConfig, load_run_config,
                            run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features, save_features
-from tadkit.model import load_model, load_outputs, save_model, save_outputs
+from tadkit.model import (MODEL_KEYS, ModelConfig, load_model, load_outputs,
+                          save_model, save_outputs)
 from tadkit.postprocess import load_detections, load_proposals
 from tadkit.preprocess import epoch_list
+
+
+# The class that each run-config section fills in.
+_SECTION_CLASSES = {**dict.fromkeys(MODEL_KEYS, ModelConfig),
+                    **config._SECTIONS}
+
+
+def _run_config_floats():
+    """(section, key, element) for each float that a run config sets, read
+    from the sections' type hints; element indexes a float inside a tuple
+    or list field, and is None for a float field."""
+    for section, cls in _SECTION_CLASSES.items():
+        hints = typing.get_type_hints(cls)
+        for key in MODEL_KEYS.get(section, hints):
+            if hints[key] is float:
+                yield section, key, None
+            yield from ((section, key, i) for i, tp
+                        in enumerate(typing.get_args(hints[key]))
+                        if tp is float)
 
 
 class TestRunConfig:
@@ -146,7 +168,7 @@ class TestRunConfig:
         ('{"grid": {"expansion": NaN}}',
          "grid.expansion must be finite and >= 0, got nan"),
         ('{"model": {"kernel_size": 4}}',
-         "model.kernel_size must be a positive odd number"),
+         "model.kernel_size must be a positive odd number, got 4"),
         ('{"mask": {"p": 1.5}}', "mask.p must be in [0, 1), got 1.5"),
     ])
     def test_bad_network_value_names_its_section(self, tmp_path, capsys, raw,
@@ -156,6 +178,23 @@ class TestRunConfig:
         assert main(["synth", "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999"])
+    @pytest.mark.parametrize("section, key, element",
+                             list(_run_config_floats()))
+    def test_every_float_key_must_be_finite(self, section, key, element,
+                                            literal):
+        body = {key: "@"}
+        if element is not None:
+            items = list(getattr(_SECTION_CLASSES[section](), key)) or [1.0]
+            items[element] = "@"
+            body[key] = items
+        if key == "weights":  # one weight per ensemble input
+            body["inputs"] = ["a"] * len(body[key])
+        raw = json.loads(json.dumps({section: body}).replace('"@"', literal))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+            run_config_from_dict(raw)
 
 
 class TestMainErrors:
@@ -365,13 +404,12 @@ class TestPipeline:
         assert a == b
 
     def _command_error(self, pipeline, tmp_path, capsys, command="infer",
-                     ensemble=None, **paths):
+                       sections=None, **paths):
         cfg = json.loads((pipeline / "run.json").read_text())
         cfg["paths"]["model"] = str(pipeline / "out" / "model.cpnm")
         cfg["paths"]["output_dir"] = str(tmp_path / "bad")
         cfg["paths"].update(paths)
-        if ensemble is not None:
-            cfg["ensemble"] = ensemble
+        cfg.update(sections or {})
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
@@ -498,8 +536,8 @@ class TestPipeline:
             save_outputs(out, member / src.name)
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
-            ensemble={"inputs": [str(pipeline / "out" / "outputs"),
-                                 str(member)]})
+            sections={"ensemble": {"inputs": [
+                str(pipeline / "out" / "outputs"), str(member)]}})
         assert any(f"video {src.stem!r}" in err
                    for src in member.glob("*.npz"))
         assert "p_reg is not finite" in err
@@ -519,7 +557,7 @@ class TestPipeline:
             save_outputs(out, member / src.name)
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
-            ensemble={"inputs": [str(member)]})
+            sections={"ensemble": {"inputs": [str(member)]}})
         assert f"video {srcs[-1].stem!r}" in err
         assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
         assert not (tmp_path / "bad" / "proposals.json").exists()
@@ -551,9 +589,29 @@ class TestPipeline:
                 (member / src.name).write_bytes(data[:len(data) // 2])
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
-            ensemble={"inputs": [str(member)]})
+            sections={"ensemble": {"inputs": [str(member)]}})
         assert str(member) in err
         assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    def test_infinite_resize_hi_is_one_error_line(self, pipeline, tmp_path,
+                                                  capsys):
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="train",
+            sections={"preprocess": {"enable_resize": True,
+                                     "resize_hi": math.inf}})
+        assert "preprocess.resize_hi" in err
+        assert not (tmp_path / "bad" / "model.cpnm").exists()
+
+    @pytest.mark.parametrize("n_inputs, weights", [
+        (2, [math.nan, 1.0]), (1, [0.0])], ids=["nan", "zero-sum"])
+    def test_bad_ensemble_weights_are_one_error_line(
+            self, pipeline, tmp_path, capsys, n_inputs, weights):
+        inputs = [str(pipeline / "out" / "outputs")] * n_inputs
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="ensemble",
+            sections={"ensemble": {"inputs": inputs, "weights": weights}})
+        assert "ensemble.weights" in err
+        assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_model_is_one_stderr_line(self, pipeline, tmp_path,

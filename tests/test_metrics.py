@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from tadkit.dataio import AnnotationSet, Instance, VideoAnnotation
-from tadkit.metrics import (DEFAULT_TIOU, ARCurve, ap_at_tiou, ar_at_an,
-                            ar_curve, auc, average_map,
-                            detection_ground_truth, format_ar_report,
-                            format_map_report, map_report_to_dict,
-                            proposal_ground_truth)
+from tadkit.metrics import (DEFAULT_TIOU, ARCurve, ap_at_tiou, ar_curve,
+                            auc, average_map, detection_ground_truth,
+                            format_ar_report, format_map_report,
+                            map_report_to_dict, proposal_ground_truth)
 from tadkit.postprocess import Detection, Proposal
 
 
@@ -113,25 +112,25 @@ class TestArAtAn:
     def test_perfect_proposals_full_recall(self):
         gt = make_gt(v=[[1.0, 4.0], [6.0, 9.0]])
         props = {"v": [Proposal(1.0, 4.0, 0.9), Proposal(6.0, 9.0, 0.8)]}
-        assert ar_at_an(props, gt, 10) == 1.0
+        assert float(ar_curve(props, gt, 10).ar[-1]) == 1.0
 
     def test_total_miss_zero(self):
         gt = make_gt(v=[[1.0, 2.0]])
         props = {"v": [Proposal(5.0, 6.0, 0.9)]}
-        assert ar_at_an(props, gt, 10) == 0.0
+        assert float(ar_curve(props, gt, 10).ar[-1]) == 0.0
 
     def test_iou_072_recalls_half_the_thresholds(self):
         # IoU 0.72 beats thresholds 0.5..0.7 -> 5 of 10 -> AR 0.5
         gt = make_gt(v=[[0.0, 10.0]])
         props = {"v": [Proposal(0.0, 7.2, 0.9)]}
         assert seg_iou((0.0, 7.2), (0.0, 10.0)) == pytest.approx(0.72)
-        assert ar_at_an(props, gt, 1) == 0.5
+        assert float(ar_curve(props, gt, 1).ar[-1]) == 0.5
 
     def test_an_truncates_by_score_rank(self):
         gt = make_gt(v=[[0.0, 5.0]])
         props = {"v": [Proposal(20.0, 30.0, 0.9), Proposal(0.0, 5.0, 0.1)]}
-        assert ar_at_an(props, gt, 1) == 0.0
-        assert ar_at_an(props, gt, 2) == 1.0
+        assert float(ar_curve(props, gt, 1).ar[-1]) == 0.0
+        assert float(ar_curve(props, gt, 2).ar[-1]) == 1.0
 
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(0)
@@ -152,15 +151,16 @@ class TestArAtAn:
                 continue
             an = int(rng.integers(1, 7))
             want = naive_ar_at_an(props, gt, an, DEFAULT_TIOU)
-            assert ar_at_an(props, gt, an) == pytest.approx(want, abs=1e-12)
+            assert float(ar_curve(props, gt, an).ar[-1]) \
+                == pytest.approx(want, abs=1e-12)
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(ValueError, match="ground-truth"):
-            ar_at_an({"v": []}, make_gt(v=[]), 5)
+            ar_curve({"v": []}, make_gt(v=[]), 5)
 
     def test_missing_video_counts_as_zero_proposals(self):
         gt = make_gt(v=[[0.0, 5.0]])
-        assert ar_at_an({}, gt, 5) == 0.0
+        assert float(ar_curve({}, gt, 5).ar[-1]) == 0.0
 
 
 class TestArCurveAndAuc:
@@ -175,7 +175,7 @@ class TestArCurveAndAuc:
         curve = ar_curve(props, gt, an_max=40)
         for an in (1, 2, 7, 19, 40):
             assert curve.ar[an - 1] == pytest.approx(
-                ar_at_an(props, gt, an), abs=1e-12)
+                float(ar_curve(props, gt, an).ar[-1]), abs=1e-12)
 
     def test_curve_nondecreasing(self):
         rng = np.random.default_rng(2)

@@ -525,8 +525,8 @@ class TestModelIO:
         ("learning_rate", np.nan), ("learning_rate", 0.0),
         ("learning_rate", -1.0), ("momentum", -0.1), ("momentum", 1.0),
         ("momentum", 1.5), ("momentum", np.nan), ("expansion", np.nan),
-        ("expansion", -0.5), ("lambda_cls", np.nan), ("lambda_cls", -1.0),
-        ("lambda_reg", np.nan), ("lambda_reg", -1.0),
+        ("expansion", -0.5), ("expansion", 1e999), ("lambda_cls", np.nan),
+        ("lambda_cls", -1.0), ("lambda_reg", np.nan), ("lambda_reg", -1.0),
     ])
     def test_invalid_training_value_rejected(self, tmp_path, key, value):
         cfg = tiny_config(**{key: value})
