@@ -26,6 +26,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
                     forward, load_model, load_outputs, save_model,
                     save_outputs, train)
+from .preprocess import epoch_list
 from .proposals import ProposalGrid, proposal_grid
 
 _ERRORS = (ConfigError, ModelIOError, TrainingDivergedError, ValueError,
@@ -111,9 +112,13 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     train_ids = [a.video_id for a in anns if a.subset == "training"]
     if not train_ids:
         raise ConfigError("annotation file has no training videos")
+    # Only the videos that preprocessing keeps are read.
+    used = dict.fromkeys(epoch_list(anns, rc.preprocess)[1])
+    if not used:
+        raise ValueError("no training videos after preprocessing")
     features = {vid: dataio.load_features(_feature_path(rc, out, vid))
-                for vid in train_ids}
-    c_in = features[train_ids[0]].shape[1]
+                for vid in used}
+    c_in = next(iter(features.values())).shape[1]
     for vid, feats in features.items():
         if feats.shape[1] != c_in:
             raise ValueError(f"{vid}: feature file has {feats.shape[1]} "

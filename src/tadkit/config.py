@@ -100,8 +100,9 @@ class EnsembleConfig:
         w = self.weights
         require(not w or len(w) == len(self.inputs), "ensemble.weights",
                 f"one per ensemble.inputs entry ({len(self.inputs)})", w)
-        require(all(0 <= x < math.inf for x in w) and (not w or sum(w) > 0),
-                "ensemble.weights", "finite and >= 0 with a positive sum", w)
+        require(all(0 <= x < math.inf for x in w)
+                and (not w or 0 < sum(w) < math.inf), "ensemble.weights",
+                "finite and >= 0 with a positive finite sum", w)
 
 
 @dataclass

@@ -23,12 +23,23 @@ The weight gradient pads each sample of the input and of the output
 gradient the same way; the input gradient is the forward routine with the
 kernel flipped and its channel axes swapped.
 
-A training step's memory is its full-size (B, C_h, D, T) float64 maps, and
-it never holds more than two of them. The forward pass keeps ``reduced``
-and ``hidden2d``: the convolution writes ``hidden2d`` at its final size and
-its ReLU runs in place. Each head is one matmul over ``hidden2d`` flattened
-to (B, C_h, D*T), forward and backward, so no transposed copy is built. The
-backward pass takes both maps out of the forward's intermediates. It
+A training step runs its batch in chunks of ``_STEP_CHUNK`` (8) samples:
+each chunk's forward pass, output gradients and backward pass run as one
+batch, and its gradients are added to the step's in chunk order, while the
+loss is one running per-sample total. So a step's memory is its chunk's
+full-size (8, C_h, D, T) float64 maps and does not grow with
+``batch_size``. Chunks of 8 were no slower than the whole batch at the
+A5 and paper shapes; chunks of 4 made the A5 step about 10% slower,
+because each pass's GEMMs get narrower. The chunks of a step share one
+``W_r``, which ``SamplingMatrix.reduction_matrix`` keeps for the last
+``reduce_w``.
+
+A pass never holds more than two of its full-size maps. The forward pass
+keeps ``reduced`` and ``hidden2d``: the convolution writes ``hidden2d`` at
+its final size and its ReLU runs in place. Each head is one matmul over
+``hidden2d`` flattened to (B, C_h, D*T), forward and backward, so no
+transposed copy is built. The backward pass takes both maps out of the
+forward's intermediates. It
 builds the heads' input gradient ``gh2d`` in ``hidden2d``'s own buffer,
 one channel at a time, then frees ``reduced`` once the ``pem`` weight
 gradient is summed and ``gh2d`` once the ``pem`` input gradient is built;
@@ -61,6 +72,10 @@ MODEL_MAGIC = b"CPNM"
 MODEL_VERSION = 1
 
 _CLAMP = 1e-7
+
+# Samples per forward and backward pass of a training step; the module
+# docstring says why 8.
+_STEP_CHUNK = 8
 
 
 class ModelIOError(IOError):
@@ -564,20 +579,21 @@ def draw_step_noise(batch: list[TrainSample], cfg: ModelConfig,
     return StepNoise(np.stack(masks) if masks else None, cells)
 
 
-def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
-                  noise: StepNoise):
-    """Per-sample losses and gradients w.r.t. the four network outputs.
+def _sample_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
+                  noise: StepNoise, b: int, total: float):
+    """Per-sample losses and gradients w.r.t. the four network outputs, for
+    a batch that may be one chunk of a step's b samples.
 
-    The batch loss is the mean over samples of tem + pem, so per-sample
-    output gradients carry a 1/B factor.
+    The step's loss is the mean over its samples of tem + pem, so
+    per-sample output gradients carry the whole step's 1/b factor. Each
+    sample's loss is added to the running total of the chunks before it,
+    in sample order, and the new total is returned first.
     """
     grid = cfg.grid()
-    b = len(batch)
     g_start = np.zeros_like(fwd["p_start"])
     g_end = np.zeros_like(fwd["p_end"])
     g_cls = np.zeros_like(fwd["p_cls"])
     g_reg = np.zeros_like(fwd["p_reg"])
-    total = 0.0
     for i, sample in enumerate(batch):
         loss_s, gs = _balanced_bce(fwd["p_start"][i], sample.labels.start)
         loss_e, ge = _balanced_bce(fwd["p_end"][i], sample.labels.end)
@@ -590,31 +606,64 @@ def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
         g_end[i] = ge / b
         g_cls[i] = cfg.lambda_cls * gc / b
         g_reg[i] = cfg.lambda_reg * gr / b
-    return total / b, g_start, g_end, g_cls, g_reg
+    return total, g_start, g_end, g_cls, g_reg
 
 
-def _forward_loss(params: dict, batch: list[TrainSample], cfg: ModelConfig,
-                  noise: StepNoise) -> tuple[dict, tuple]:
-    """The batch's forward pass and what _output_grads returns for it."""
-    fwd = _forward_batch(params, np.stack([s.features for s in batch]), cfg,
-                         noise.masks)
-    return fwd, _output_grads(fwd, batch, cfg, noise)
+def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
+                  noise: StepNoise):
+    """The whole batch's mean loss and its output gradients, from one
+    forward pass over it."""
+    total, *grads = _sample_grads(fwd, batch, cfg, noise, len(batch), 0.0)
+    return (total / len(batch), *grads)
+
+
+def _step(params: dict, batch: list[TrainSample], cfg: ModelConfig,
+          noise: StepNoise, backward: bool
+          ) -> tuple[float, dict[str, np.ndarray]]:
+    """The step's mean loss and, when backward, its gradients: the forward
+    and backward passes run over _STEP_CHUNK samples at a time, and each
+    chunk's gradients are added to the step's in chunk order."""
+    b = len(batch)
+    total = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for lo in range(0, b, _STEP_CHUNK):
+        rows = slice(lo, lo + _STEP_CHUNK)
+        chunk = batch[rows]
+        part = StepNoise(None if noise.masks is None else noise.masks[rows],
+                         noise.reg_cells[rows])
+        fwd = _forward_batch(params, np.stack([s.features for s in chunk]),
+                             cfg, part.masks)
+        total, *out_grads = _sample_grads(fwd, chunk, cfg, part, b, total)
+        if backward:
+            for name, g in _backward_batch(params, fwd, *out_grads).items():
+                if name in grads:
+                    grads[name] += g
+                else:
+                    grads[name] = g
+        del fwd, out_grads  # before the next chunk's forward pass
+    return total / b, grads
 
 
 def batch_loss(params: dict, batch: list[TrainSample], cfg: ModelConfig,
                noise: StepNoise) -> float:
     """Mean total loss of a batch under fixed realized randomness."""
-    _, (total, *_) = _forward_loss(params, batch, cfg, noise)
-    return total
+    return _step(params, batch, cfg, noise, backward=False)[0]
 
 
 def loss_and_gradients(params: dict, batch: list[TrainSample],
                        cfg: ModelConfig, noise: StepNoise
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and its exact gradient w.r.t. every parameter, for the
-    given realized masks and regression cell sets."""
-    fwd, (total, *out_grads) = _forward_loss(params, batch, cfg, noise)
-    return total, _backward_batch(params, fwd, *out_grads)
+    given realized masks and regression cell sets.
+
+    The batch runs through the network in chunks of _STEP_CHUNK (8)
+    samples, so a step holds a few (8, C_h, D, T) maps whatever
+    ``batch_size`` is. A batch of at most 8 samples is one chunk. The loss
+    is one running per-sample total, so it does not depend on the
+    chunking; for a larger batch, the gradients' cross-sample sums are
+    grouped by chunk, which moves their last bits.
+    """
+    return _step(params, batch, cfg, noise, backward=True)
 
 
 def compute_gradients(params: dict, batch: list[TrainSample],

@@ -170,8 +170,9 @@ def ensemble_maps(outputs: list[NetworkOutputs],
         raise ValueError(f"got {len(weights)} weights for "
                          f"{len(outputs)} outputs")
     w = np.asarray(weights, dtype=np.float64)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
+    if (w < 0).any() or not 0 < w.sum() < np.inf:
+        raise ValueError("weights must be nonnegative with a positive "
+                         "finite sum")
     ref = outputs[0]
     for out in outputs[1:]:
         for f in ("p_start", "p_end", "p_cls", "p_reg"):

@@ -101,6 +101,8 @@ class SamplingMatrix:
     i0: np.ndarray = field(repr=False, compare=False)
     frac: np.ndarray = field(repr=False, compare=False)
     in_range: np.ndarray = field(repr=False, compare=False)
+    _last_reduction: dict[bytes, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(left column, right column, left weight, right weight), each
@@ -125,13 +127,24 @@ class SamplingMatrix:
         """The dense (D*T, t_in) matrix W_r = sum_n reduce_w[n] * W_n.
 
         Sampling N points per cell and then contracting them with
-        ``reduce_w`` is the single matmul ``hidden @ W_r.T``.
+        ``reduce_w`` is the single matmul ``hidden @ W_r.T``. The last
+        result is kept, read-only and keyed by the bytes of ``reduce_w``,
+        so the chunks of one training step and the videos of one inference
+        run share one W_r.
         """
-        idx, wts = self._flat_taps
-        size = self.grid.d_max * self.grid.t_scale
-        return np.bincount(idx.ravel(), (wts * reduce_w).ravel(),
-                           minlength=size * self.t_in).reshape(size,
-                                                               self.t_in)
+        w = np.asarray(reduce_w, dtype=np.float64)
+        key = w.tobytes()
+        w_r = self._last_reduction.get(key)
+        if w_r is None:
+            idx, wts = self._flat_taps
+            size = self.grid.d_max * self.grid.t_scale
+            w_r = np.bincount(idx.ravel(), (wts * w).ravel(),
+                              minlength=size * self.t_in).reshape(size,
+                                                                  self.t_in)
+            w_r.setflags(write=False)
+            self._last_reduction.clear()
+            self._last_reduction[key] = w_r
+        return w_r
 
     def reduction_weight_grad(self, outer: np.ndarray) -> np.ndarray:
         """Gradient of ``<outer, W_r>`` w.r.t. ``reduce_w``: (N,).

@@ -27,6 +27,7 @@ from tadkit.model import (MODEL_KEYS, ModelConfig, load_model, load_outputs,
                           save_model, save_outputs)
 from tadkit.postprocess import load_detections, load_proposals
 from tadkit.preprocess import epoch_list
+from tadkit.proposals import SamplingMatrix
 
 
 # The class that each run-config section fills in.
@@ -125,6 +126,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="weights"):
             run_config_from_dict(
                 {"ensemble": {"inputs": ["a", "b"], "weights": [1.0]}})
+
+    def test_ensemble_weight_sum_must_be_finite(self):
+        with pytest.raises(ConfigError, match=r"ensemble\.weights"):
+            run_config_from_dict({"ensemble": {
+                "inputs": ["a", "b"], "weights": [1e308, 1e308]}})
 
     @pytest.mark.parametrize("key", ["sigma", "score_floor"])
     def test_postprocess_nan_rejected(self, key):
@@ -322,6 +328,34 @@ class TestPipeline:
         assert f"kept {len(kept_train)}, {len(epochs)} samples per epoch" \
             in summary
 
+    def test_train_reads_only_the_epoch_lists_features(
+            self, pipeline, tmp_path, monkeypatch):
+        """At theta_long 0.5 preprocessing drops a training video: train
+        reads one feature file per video it keeps, and the dropped video's
+        file may be missing."""
+        anns = load_annotations(pipeline / "annotations.json")
+        cfg = json.loads((pipeline / "run.json").read_text())
+        cfg["preprocess"] = {"theta_long": 0.5}
+        kept, _ = epoch_list(anns, run_config_from_dict(cfg).preprocess)
+        dropped = [v for v, a in anns.videos.items()
+                   if a.subset == "training" and v not in kept.videos]
+        assert dropped
+        feats = tmp_path / "features"
+        shutil.copytree(pipeline / "features", feats)
+        for vid in dropped:
+            (feats / f"{vid}.feat").unlink()
+        cfg["paths"].update(features_dir=str(feats),
+                            output_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        loaded = []
+        load = cli.dataio.load_features
+        monkeypatch.setattr(cli.dataio, "load_features",
+                            lambda path: loaded.append(path) or load(path))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        log = json.loads((tmp_path / "out" / "train_log.json").read_text())
+        assert len(loaded) == log[0]["n_videos"]
+
     def test_train_artifacts(self, pipeline):
         out = pipeline / "out"
         assert (out / "model.cpnm").exists()
@@ -402,6 +436,25 @@ class TestPipeline:
         a = (pipeline / "out" / "proposals.json").read_bytes()
         b = (tmp_path / "again" / "proposals.json").read_bytes()
         assert a == b
+
+    def test_infer_builds_the_reduction_matrix_once(self, pipeline, tmp_path,
+                                                   monkeypatch):
+        """Every video of one infer runs the model with one W_r."""
+        seen = []
+        build = SamplingMatrix.reduction_matrix
+        monkeypatch.setattr(SamplingMatrix, "reduction_matrix",
+                            lambda sm, w: seen.append(build(sm, w))
+                            or seen[-1])
+        cfg = json.loads((pipeline / "run.json").read_text())
+        cfg["paths"]["model"] = str(pipeline / "out" / "model.cpnm")
+        cfg["paths"]["output_dir"] = str(tmp_path / "again")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["infer", "--config", str(cfg_path)]) == 0
+        n_val = sum(a.subset == "validation"
+                    for a in load_annotations(pipeline / "annotations.json"))
+        assert len(seen) == n_val
+        assert len({id(w_r) for w_r in seen}) == 1
 
     def _command_error(self, pipeline, tmp_path, capsys, command="infer",
                        sections=None, **paths):
@@ -603,7 +656,8 @@ class TestPipeline:
         assert not (tmp_path / "bad" / "model.cpnm").exists()
 
     @pytest.mark.parametrize("n_inputs, weights", [
-        (2, [math.nan, 1.0]), (1, [0.0])], ids=["nan", "zero-sum"])
+        (2, [math.nan, 1.0]), (1, [0.0]), (2, [1e308, 1e308])],
+        ids=["nan", "zero-sum", "overflowing-sum"])
     def test_bad_ensemble_weights_are_one_error_line(
             self, pipeline, tmp_path, capsys, n_inputs, weights):
         inputs = [str(pipeline / "out" / "outputs")] * n_inputs

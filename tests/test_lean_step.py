@@ -7,8 +7,11 @@ and frees each full-size (B, C_h, D, T) map after its last use. It runs the
 same operations in the same order, so every output must be bit-identical
 to the earlier step, whose functions are kept below: the loss, all 16
 parameter gradients and the four network outputs, at the A5 shape and the
-paper shape, for every mask setting. A memory test bounds the traced peak
-of one A5 step.
+paper shape, for every mask setting. A batch of more than 8 samples runs
+through the network 8 at a time; that chunked step is checked against one
+whole-batch pass of the same functions (loss bit-identical, gradients at
+1e-12 relative). Two memory tests bound the traced peak of one step at the
+A5 and the paper shape.
 
 The earlier step is kept verbatim except for two swaps of code that the
 lean step runs too, and whose last bits differ from what they replaced:
@@ -25,9 +28,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tadkit.model import (ModelConfig, _forward_batch, _output_grads,
-                          _proposal_reduce, _sigmoid, draw_step_noise,
-                          forward, loss_and_gradients)
+from tadkit.model import (_STEP_CHUNK, ModelConfig, _backward_batch,
+                          _forward_batch, _output_grads, _proposal_reduce,
+                          _sigmoid, batch_loss, draw_step_noise, forward,
+                          loss_and_gradients)
 from tadkit.proposals import MaskConfig, SamplingMatrix
 from test_model import perturbed_params, random_sample
 
@@ -201,8 +205,9 @@ MASKS = {
 OUTPUTS = ("p_start", "p_end", "p_cls", "p_reg")
 
 
-def _setup(shape, mask, batch_size):
-    cfg = ModelConfig(c_in=4, mask=MASKS[mask], seed=0, **SHAPES[shape])
+def _setup(shape, mask, batch_size, kernel_size=3):
+    cfg = ModelConfig(c_in=4, kernel_size=kernel_size, mask=MASKS[mask],
+                      seed=0, **SHAPES[shape])
     rng = np.random.default_rng(23)
     params = perturbed_params(cfg, rng)
     batch = [random_sample(rng, cfg) for _ in range(batch_size)]
@@ -238,17 +243,49 @@ def test_inference_is_bit_identical_to_earlier_forward(shape):
         assert np.array_equal(getattr(out, name), old[name][0]), name
 
 
-def test_a5_step_peak_memory_is_bounded():
-    """One A5 step (B = 32) holds at most 3.75 (B, C_h, D, T) float64 maps
-    at once; the earlier step held about 7.4."""
-    spec = SHAPES["a5"]
-    cfg = ModelConfig(c_in=16, mask=MaskConfig(p=0.1), batch_size=32, seed=0,
-                      **spec)
+# (shape, batch size, mask, kernel size): each batch size meets every mask
+# setting and every kernel size once, and each mask every kernel size.
+CHUNKED = [("a5", 20, "off", 1), ("a5", 20, "proposal", 3),
+           ("a5", 20, "channel", 5), ("a5", 32, "off", 3),
+           ("a5", 32, "proposal", 5), ("a5", 32, "channel", 1),
+           ("paper", 10, "off", 5), ("paper", 10, "proposal", 1),
+           ("paper", 10, "channel", 3)]
+
+
+@pytest.mark.parametrize("shape, batch_size, mask, kernel_size", CHUNKED)
+def test_chunked_step_matches_one_whole_batch_pass(shape, batch_size, mask,
+                                                   kernel_size):
+    """Batches of more than _STEP_CHUNK samples, a short last chunk among
+    them: the loss is bit-identical to one pass over the whole batch and
+    every gradient within 1e-12 of the largest magnitude of its own."""
+    assert batch_size > _STEP_CHUNK
+    cfg, params, batch, noise = _setup(shape, mask, batch_size, kernel_size)
+    whole = _forward_batch(params, np.stack([s.features for s in batch]),
+                           cfg, noise.masks)
+    want_loss, *out_grads = _output_grads(whole, batch, cfg, noise)
+    want = _backward_batch(params, whole, *out_grads)
+
+    loss, grads = loss_and_gradients(params, batch, cfg, noise)
+    assert loss == want_loss
+    assert batch_loss(params, batch, cfg, noise) == want_loss
+    assert list(grads) == list(want)
+    for name in want:
+        scale = max(np.abs(want[name]).max(), np.finfo(float).tiny)
+        assert np.abs(grads[name] - want[name]).max() <= 1e-12 * scale, name
+
+
+def _step_peak_maps(shape: str, c_in: int, batch_size: int) -> float:
+    """The traced peak of one training step, in (B, C_h, D, T) float64 maps
+    of the whole batch. The step builds W_r, as each step of training does
+    for its new parameters."""
+    cfg = ModelConfig(c_in=c_in, mask=MaskConfig(p=0.1),
+                      batch_size=batch_size, seed=0, **SHAPES[shape])
     rng = np.random.default_rng(5)
     params = perturbed_params(cfg, rng)
     batch = [random_sample(rng, cfg) for _ in range(cfg.batch_size)]
     noise = draw_step_noise(batch, cfg, rng)
     loss_and_gradients(params, batch, cfg, noise)  # warm every cache
+    params["reduce_w"] = -params["reduce_w"]
     unit = cfg.batch_size * cfg.c_h * cfg.d_max * cfg.t_scale * 8
     tracemalloc.start()
     try:
@@ -256,4 +293,19 @@ def test_a5_step_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.75 * unit, f"peak {peak / unit:.2f} maps"
+    return peak / unit
+
+
+def test_a5_step_peak_memory_is_bounded():
+    """One A5 step (B = 32) holds at most 1.5 (B, C_h, D, T) float64 maps
+    at once: it runs in chunks of 8 samples. The whole-batch step held
+    3.37, and the step before it about 7.4."""
+    peak = _step_peak_maps("a5", 16, 32)
+    assert peak <= 1.5, f"peak {peak:.2f} maps"
+
+
+def test_paper_step_peak_memory_is_bounded():
+    """One paper-shape step (B = 16) holds at most 1.75 (B, C_h, D, T)
+    float64 maps at once; the whole-batch step held 2.67."""
+    peak = _step_peak_maps("paper", 4, 16)
+    assert peak <= 1.75, f"peak {peak:.2f} maps"

@@ -394,6 +394,13 @@ class TestEnsembleMaps:
         with pytest.raises(ValueError):
             ensemble_maps([a, b], [0.0, 0.0])
 
+    def test_overflowing_weight_sum_rejected(self):
+        # The sum is inf, so normalizing would make every fused map zero.
+        a, b = self.two_outputs()
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="finite sum"):
+            ensemble_maps([a, b], [1e308, 1e308])
+
 
 class TestProposalFiles:
     def test_roundtrip(self, tmp_path):
