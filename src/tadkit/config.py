@@ -8,9 +8,10 @@ range, is rejected by name. Each section's ``validate`` states the range of
 each of its keys once, through ``dataio.require``, as the comparison that a
 valid value passes. Every float key must be finite, so NaN, ``Infinity``
 and an overflowing literal such as ``1e999`` all fail, and every range
-error reads ``section.key must be <bound>, got <value>``. In commands the
-top-level seed overrides any per-section seed field, so one value controls
-a whole run; flags override the file.
+error reads ``section.key must be <bound>, got <value>``. The top-level
+seed is the only seed key, so one value controls a whole run: ``synth``
+takes it as ``SynthConfig.seed``, and ``synth.seed`` is an unknown key.
+Flags override the file.
 
 Three sections make up the network's one config, ``RunConfig.model``, a
 ``model.ModelConfig``:
@@ -154,8 +155,11 @@ def run_config_from_dict(raw: object) -> RunConfig:
                     key, value, {k: model_types[k] for k in MODEL_KEYS[key]}))
             elif key in _SECTIONS:
                 cls = _SECTIONS[key]
+                types = typing.get_type_hints(cls)
+                if key == "synth":
+                    del types["seed"]  # the top-level seed is the run's one
                 (model if key == "mask" else kwargs)[key] = cls(
-                    **typed_fields(key, value, typing.get_type_hints(cls)))
+                    **typed_fields(key, value, types))
             else:
                 raise ConfigError(f"unknown config key: {key}")
     except TypeError as exc:

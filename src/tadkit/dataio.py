@@ -17,8 +17,11 @@ Conventions used across the package:
 * Class scores are JSON: ``{"<video_id>": [{"label": ..., "score": ...}]}``
   with scores sorted non-increasing and labels unique per video.
 * Every JSON artifact (annotations, class scores, run config, proposals,
-  detections, reports, logs) is read by ``read_json`` and written by
-  ``write_json``: sorted keys, one-space indent, a final newline.
+  detections, reports, logs) is read by ``read_json`` and written as
+  ``write_json`` writes it: sorted keys, one-space indent, a final
+  newline. The proposal and detection files, the largest, are written by
+  row writers in ``postprocess`` that produce the same bytes faster; every
+  other artifact goes through ``write_json`` itself.
 * A JSON config object (a run config section, a model file's config blob)
   is read by ``typed_fields``: each key must name a dataclass field and
   its value must fit the field's type. Each config's ``validate`` then

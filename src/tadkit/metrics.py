@@ -149,8 +149,11 @@ def ap_at_tiou(dets: list[tuple[str, float, float, float]],
             if g is None or len(g) == 0:
                 continue
             ious = _pairwise_iou(segs[idx], np.asarray(g, np.float64))
+            # a detection below every threshold against all of its video's
+            # ground truth can neither hit nor change matched
+            near = ious.max(axis=1) >= th.min()
             matched = np.zeros((len(th), len(g)), dtype=bool)
-            for i, iou in zip(idx, ious):
+            for i, iou in zip(np.asarray(idx)[near], ious[near]):
                 iou = np.where(matched, -1.0, iou)
                 j = iou.argmax(axis=1)
                 hit = iou[levels, j] >= th
@@ -175,6 +178,11 @@ def average_map(dets: dict[str, list[Detection]],
     classes = sorted({inst.label for insts in gt.values() for inst in insts})
     if not classes:
         raise ValueError("no ground-truth instances to evaluate against")
+    by_label: dict[str, list[tuple[str, float, float, float]]] = {}
+    for vid, dlist in dets.items():
+        for d in dlist:
+            by_label.setdefault(d.label, []).append(
+                (vid, d.start, d.end, d.score))
     ap_table = {}
     for label in classes:
         class_gt = {
@@ -183,10 +191,7 @@ def average_map(dets: dict[str, list[Detection]],
                           dtype=np.float64).reshape(-1, 2)
             for vid, insts in gt.items()
         }
-        class_dets = [(vid, d.start, d.end, d.score)
-                      for vid, dlist in dets.items() for d in dlist
-                      if d.label == label]
-        ap_table[label] = ap_at_tiou(class_dets, class_gt, th)
+        ap_table[label] = ap_at_tiou(by_label.get(label, []), class_gt, th)
     per_threshold = np.mean([ap_table[c] for c in classes], axis=0)
     return MapReport(th, per_threshold, float(per_threshold.mean()), ap_table)
 

@@ -8,10 +8,29 @@ one ``(n_valid, 3)`` float64 array of ``[start, end, score]`` rows, and
 ``soft_nms`` takes any such array-like and builds ``Proposal`` rows only
 for its at most ``max_out`` survivors. Both row types are named tuples:
 ``Proposal(start, end, score)``, so ``np.asarray`` of a list of them is
-that same array, and ``Detection(start, end, label, score)``. One codec
-reads both files: each entry is checked once (a list of two finite
-numbers as the segment, start < end, a finite score >= 0), and an error
-names the file, the video and the entry. JSON layouts:
+that same array, and ``Detection(start, end, label, score)``.
+
+``soft_nms`` keeps its working rows in place and decays every score with
+in-place ufuncs into two scratch buffers. A selected row gets score -1
+and start +inf, so its intersection with any later selection is 0 and its
+decay factor exactly 1: it can never win again. A row below
+``score_floor`` stays in place too: scores only decay, so it can never
+reach a live row's score, and ``argmax`` over all rows still picks the
+first best live row. The loop stops when that maximum is below the floor.
+Every ``_NMS_COMPACT_EVERY`` selections, if fewer than half the rows are
+live, the dead ones are dropped in order. Rows whose length ``end -
+start`` overflows are refused up front, since their IoU would be NaN and
+NaN wins ``argmax``.
+
+One rule checks every entry of both files (a segment of two finite
+numbers with start < end, a finite score >= 0, and a str label), and an
+error names the file, the video and the entry. The loaders apply it to
+what they read. The row writers apply it before they write, so they never
+write a file that the loaders refuse; they build the text straight from
+the rows, with ``float.__repr__`` and ``encode_basestring_ascii``, and
+write it once. Their bytes are exactly ``dataio.write_json``'s for the
+layouts below: sorted keys, a one-space indent and a final newline.
+JSON layouts:
 
 * proposals: ``{"results": {"<video_id>": [{"score": s,
   "segment": [start, end]}, ...]}}``
@@ -26,16 +45,20 @@ callers may parallelize across videos freely.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import read_json, rescale_features, write_json
+from .dataio import read_json, rescale_features
 from .model import NetworkOutputs
 from .proposals import ProposalGrid
 
 DETECTION_VERSION = "VERSION 1.3"
+# soft_nms checks every this many selections whether fewer than half of its
+# working rows are live, and if so drops the dead ones
+_NMS_COMPACT_EVERY = 8
 
 
 class Proposal(NamedTuple):
@@ -92,11 +115,10 @@ def soft_nms(props: np.ndarray | list[Proposal], sigma: float = 0.4,
     score_floor. Output is in selection order, which is by final score,
     descending: each selection is the maximum of scores that only decay.
 
-    Rows must be finite with start < end and score >= 0. Scores only decay
-    and only selected rows decay others, so a row below score_floor can
-    never be selected: such rows are dropped up front and after every decay,
-    and selected rows leave the working arrays the same way, by
-    order-keeping compaction.
+    Rows must be finite with start < end, a finite length end - start, and
+    score >= 0. The working rows stay in place between selections; see the
+    module docstring for why a selected row or one below score_floor there
+    can never win again.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -108,24 +130,45 @@ def soft_nms(props: np.ndarray | list[Proposal], sigma: float = 0.4,
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"proposals must be (n, 3) [start, end, score] "
                          f"rows, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValueError("proposal rows must be finite")
-    if not ((rows[:, 0] < rows[:, 1]).all() and (rows[:, 2] >= 0).all()):
+    lengths = rows[:, 1] - rows[:, 0]
+    # an overflowing length would make IoU NaN, and NaN wins argmax
+    if not (np.isfinite(rows).all() and np.isfinite(lengths).all()):
+        raise ValueError("proposal rows and their lengths must be finite")
+    if not ((lengths > 0).all() and (rows[:, 2] >= 0).all()):
         raise ValueError("proposals need start < end and score >= 0")
-    starts, ends, scores = rows[rows[:, 2] >= score_floor].T
-    lengths = ends - starts
+    keep = rows[:, 2] >= score_floor
+    if not keep.any():
+        return []
+    starts, ends, scores = rows[keep].T.copy()
+    lengths = lengths[keep]
+    a, b = np.empty_like(scores), np.empty_like(scores)
     selected: list[Proposal] = []
-    while len(selected) < max_out and scores.size:
-        best = int(np.argmax(scores))
+    while len(selected) < max_out:
+        best = int(scores.argmax())
+        if scores[best] < score_floor:
+            break
         s0, s1 = starts[best], ends[best]
         selected.append(Proposal(float(s0), float(s1), float(scores[best])))
-        inter = np.maximum(np.minimum(ends, s1) - np.maximum(starts, s0), 0.0)
-        iou = inter / (lengths + lengths[best] - inter)
-        scores = scores * np.exp(-(iou ** 2) / sigma)
-        keep = scores >= score_floor
-        keep[best] = False
-        starts, ends, scores, lengths = (
-            starts[keep], ends[keep], scores[keep], lengths[keep])
+        scores[best], starts[best] = -1.0, np.inf
+        # scores *= exp(-(iou ** 2) / sigma), iou against the selection
+        np.minimum(ends, s1, out=a)
+        np.maximum(starts, s0, out=b)
+        np.subtract(a, b, out=a)
+        np.maximum(a, 0.0, out=a)
+        np.add(lengths, lengths[best], out=b)
+        np.subtract(b, a, out=b)
+        np.divide(a, b, out=a)
+        np.square(a, out=a)
+        np.divide(a, -sigma, out=a)
+        np.exp(a, out=a)
+        np.multiply(scores, a, out=scores)
+        if len(selected) % _NMS_COMPACT_EVERY == 0:
+            live = scores >= score_floor
+            # with none live, the next argmax ends the loop; it needs a row
+            if 0 < 2 * np.count_nonzero(live) < scores.size:
+                starts, ends, scores, lengths = (
+                    starts[live], ends[live], scores[live], lengths[live])
+                a, b = a[:scores.size], b[:scores.size]
     return selected
 
 
@@ -190,6 +233,10 @@ def ensemble_maps(outputs: list[NetworkOutputs],
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+_ROW_RULE = ("need a segment of two finite numbers with start < end and a "
+             "finite score >= 0")
+
+
 def _checked_row(entry: dict) -> tuple[float, float, float]:
     """An entry's start, end and score: its segment must be a list of two
     finite numbers with start < end, its score a finite number >= 0."""
@@ -200,9 +247,7 @@ def _checked_row(entry: dict) -> tuple[float, float, float]:
                 and -math.inf < start < end < math.inf \
                 and 0 <= score < math.inf:
             return float(start), float(end), float(score)
-    raise ValueError(f"need a segment of two finite numbers with start < end "
-                     f"and a finite score >= 0, got segment {seg!r}, score "
-                     f"{score!r}")
+    raise ValueError(f"{_ROW_RULE}, got segment {seg!r}, score {score!r}")
 
 
 def _load_results(path: str | Path, kind: str,
@@ -231,11 +276,57 @@ def _load_results(path: str | Path, kind: str,
     return rows
 
 
+def _number(x: object) -> str:
+    """x as json.dumps writes it: an int or a float (np.float64 too), by
+    its exact repr. Raises TypeError for anything else, bools included."""
+    if isinstance(x, float):
+        return float.__repr__(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int.__repr__(x)
+    raise TypeError(f"{x!r} is no JSON number")
+
+
+def _entry_text(row: Proposal | Detection, labeled: bool) -> str:
+    """One checked entry of a results list, as write_json lays it out."""
+    if labeled:
+        start, end, label, score = row
+        if not isinstance(label, str):
+            raise TypeError(f"label must be str, got {label!r}")
+        head = f'   {{\n    "label": {encode_basestring_ascii(label)},\n'
+    else:
+        start, end, score = row
+        head = "   {\n"
+    if not (-math.inf < start < end < math.inf and 0 <= score < math.inf):
+        raise ValueError(f"{_ROW_RULE}, got segment [{start!r}, {end!r}], "
+                         f"score {score!r}")
+    return (f'{head}    "score": {_number(score)},\n    "segment": [\n     '
+            f'{_number(start)},\n     {_number(end)}\n    ]\n   }}')
+
+
+def _results_text(results: dict[str, list], path: str | Path, kind: str,
+                  labeled: bool) -> str:
+    """The value of a file's "results" key, byte for byte what write_json
+    writes for it (keys sorted, one-space indent); raises ValueError
+    naming the file, the video and the entry that the loaders would
+    refuse."""
+    videos = []
+    for vid in sorted(results):
+        entries = []
+        for i, row in enumerate(results[vid]):
+            try:
+                entries.append(_entry_text(row, labeled))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: video {vid!r}, {kind} {i}: "
+                                 f"{exc}") from exc
+        body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        videos.append(f"  {encode_basestring_ascii(vid)}: {body}")
+    return "{\n" + ",\n".join(videos) + "\n }" if videos else "{}"
+
+
 def save_proposals(props: dict[str, list[Proposal]],
                    path: str | Path) -> None:
-    write_json({"results": {
-        vid: [{"score": p.score, "segment": [p.start, p.end]} for p in plist]
-        for vid, plist in props.items()}}, path)
+    text = _results_text(props, path, "proposal", labeled=False)
+    Path(path).write_text(f'{{\n "results": {text}\n}}\n', encoding="utf-8")
 
 
 def load_proposals(path: str | Path) -> dict[str, list[Proposal]]:
@@ -244,12 +335,10 @@ def load_proposals(path: str | Path) -> dict[str, list[Proposal]]:
 
 def save_detections(dets: dict[str, list[Detection]],
                     path: str | Path) -> None:
-    results = {
-        vid: [{"label": d.label, "score": d.score,
-               "segment": [d.start, d.end]} for d in dlist]
-        for vid, dlist in dets.items()}
-    write_json({"version": DETECTION_VERSION, "results": results,
-                "external_data": {}}, path)
+    text = _results_text(dets, path, "detection", labeled=True)
+    version = encode_basestring_ascii(DETECTION_VERSION)
+    Path(path).write_text(f'{{\n "external_data": {{}},\n "results": {text},'
+                          f'\n "version": {version}\n}}\n', encoding="utf-8")
 
 
 def load_detections(path: str | Path) -> dict[str, list[Detection]]:

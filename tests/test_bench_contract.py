@@ -7,19 +7,26 @@ and runs subcommands that the CLI must have. A rename or deletion in
 tadkit would otherwise surface only when the benchmark runs (a traced run
 fails on a missing attribute, a command on a config key or an unknown
 subcommand), so these tests read ``bench/`` and check every such name,
-config and command against the library. They only read the benchmark's
-files; no benchmark command runs.
+config and command against the library. The traced counts also depend on
+how the CLI calls the traced functions (which argument is the path, what
+the result's length means), so one test runs a small ``ensemble`` in
+process under ``traced_cli``'s tracer. No benchmark command runs, and no
+file under ``bench/`` is written.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tadkit.cli import _COMMANDS
+from tadkit import (NetworkOutputs, SynthConfig, save_annotations,
+                    save_class_scores, save_outputs, synth_dataset)
+from tadkit.cli import _COMMANDS, main
 from tadkit.config import run_config_from_dict
 from tadkit.postprocess import (Detection, Proposal, load_detections,
                                 load_proposals, save_detections,
@@ -91,6 +98,51 @@ def test_workload_commands_are_cli_subcommands():
                 f"bench workload {name} runs tadkit {command}, which is " \
                 f"no tadkit subcommand"
 
+
+def test_traced_counts_read_the_cli_call_layout(tmp_path):
+    """bench/traced_cli.py's probes take soft_nms' input and kept counts
+    from len(args[0]) and len(result), and the bytes of proposals.json and
+    detections.json from the path at args[1] of the writers. Run a small
+    ensemble under its tracer and check each count against the command's
+    own work and files."""
+    anns, _, scores = synth_dataset(SynthConfig(
+        n_videos=3, t_raw_range=(20, 30), channels=2, val_fraction=1.0))
+    save_annotations(anns, tmp_path / "annotations.json")
+    save_class_scores(scores, tmp_path / "class_scores.json")
+    member, out = tmp_path / "member", tmp_path / "out"
+    member.mkdir()
+    rng = np.random.default_rng(0)
+    for ann in anns:
+        save_outputs(NetworkOutputs(rng.random(8), rng.random(8),
+                                    rng.random((8, 8)), rng.random((8, 8))),
+                     member / f"{ann.video_id}.npz")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "grid": {"t_scale": 8, "d_max": 8},
+        "ensemble": {"inputs": [str(member)]},
+        "paths": {"output_dir": str(out),
+                  "annotations": str(tmp_path / "annotations.json"),
+                  "class_scores": str(tmp_path / "class_scores.json")}}))
+    tracer = _load_bench_module("traced_cli").Tracer("contract")
+    tracer.install()
+    try:
+        assert main(["ensemble", "--config", str(config),
+                     "--threads", "1"]) == 0
+    finally:
+        tracer.restore()
+
+    def counts(name):
+        return [s["counts"] for s in tracer.spans if s["name"] == name]
+
+    candidates = [c["candidates"] for c in counts("postprocess.fuse_scores")]
+    nms = counts("postprocess.soft_nms")
+    assert len(candidates) == len(anns)
+    assert [c["in"] for c in nms] == candidates
+    kept = load_proposals(out / "proposals.json")
+    assert [c["kept"] for c in nms] == [len(kept[a.video_id]) for a in anns]
+    for name, file in (("postprocess.save_proposals", "proposals.json"),
+                       ("postprocess.save_detections", "detections.json")):
+        assert counts(name) == [{"bytes": (out / file).stat().st_size}]
 
 
 @pytest.mark.parametrize("save, load, row", [

@@ -116,6 +116,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"mask\.seed"):
             run_config_from_dict({"mask": {"seed": 3}})
 
+    def test_synth_seed_is_no_config_key(self):
+        # synth takes the top-level seed; synth.seed would do nothing.
+        with pytest.raises(ConfigError,
+                           match=r"unknown config key: synth\.seed"):
+            run_config_from_dict({"synth": {"seed": -5}})
+
     def test_ensemble_lists_accepted(self):
         rc = run_config_from_dict(
             {"ensemble": {"inputs": ["a", "b"], "weights": [1.0, 2.0]}})

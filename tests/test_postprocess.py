@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tadkit.model import NetworkOutputs
 from tadkit.postprocess import (Detection, Proposal, assemble_detections,
@@ -151,6 +153,13 @@ class TestSoftNms:
         with pytest.raises(ValueError, match="start < end"):
             soft_nms([Proposal(2.0, 1.0, 0.5)])
 
+    def test_overflowing_length_rejected(self):
+        # end - start overflows to inf, which would make the row's IoU NaN
+        rows = [Proposal(-1e308, 1e308, 0.9), Proposal(0.0, 1.0, 0.5)]
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            soft_nms(rows)
+
     @pytest.mark.parametrize("floor", [-1e-4, np.nan])
     def test_bad_floor_rejected(self, floor):
         with pytest.raises(ValueError, match="score_floor"):
@@ -266,7 +275,8 @@ class TestArrayPathMatchesOracle:
     @pytest.mark.parametrize("t", [8, 64, 100])
     @pytest.mark.parametrize("sigma", [0.4, 1e-3])
     @pytest.mark.parametrize("floor", [1e-4, 0.0])
-    @pytest.mark.parametrize("max_out", [5, 100])
+    # 1, 7, 8, 9 and 17 fall on both sides of the compaction cadence
+    @pytest.mark.parametrize("max_out", [5, 100, 1, 7, 8, 9, 17])
     def test_soft_nms_rows_equal(self, t, sigma, floor, max_out):
         grid = proposal_grid(t, t)
         for seed in range(2):
@@ -287,6 +297,23 @@ class TestArrayPathMatchesOracle:
                                        sigma, floor, max_out)
                 assert [tuple(p) for p in got] == \
                     [(p.start, p.end, p.score) for p in want]
+
+    @pytest.mark.parametrize("max_out", [1, 7, 8, 9, 17, 100])
+    def test_rows_decaying_below_floor_mid_run(self, max_out):
+        # clusters of near-duplicates: each selection pushes the rest of
+        # its cluster below the floor, so most rows die within a few
+        # selections and the working set gets compacted
+        rng = np.random.default_rng(3)
+        centres = rng.uniform(0.0, 100.0, 30)
+        starts = np.repeat(centres, 40) + rng.uniform(-0.2, 0.2, 1200)
+        rows = np.column_stack((starts, starts + rng.uniform(2.0, 3.0, 1200),
+                                rng.uniform(0.05, 1.0, 1200)))
+        for floor in (0.04, 0.2):
+            got = soft_nms(rows, 0.1, floor, max_out)
+            want = oracle_soft_nms([Proposal(*r) for r in rows.tolist()],
+                                   0.1, floor, max_out)
+            assert [tuple(p) for p in got] == \
+                [(p.start, p.end, p.score) for p in want]
 
 
 class TestAssembleDetections:
@@ -457,3 +484,93 @@ class TestDetectionFiles:
                 {"label": "a", "score": 0.5, "segment": [3.0, 1.0]}]}}))
         with pytest.raises(ValueError, match="v"):
             load_detections(path)
+
+
+# Entries that load_proposals and load_detections refuse, so the writers
+# refuse them too: (start, end, score).
+_BAD_ROWS = [(0.0, 1.0, np.nan), (0.0, np.inf, 0.5), (-np.inf, 1.0, 0.5),
+             (2.0, 1.0, 0.5), (1.0, 1.0, 0.5), (0.0, 1.0, -0.25),
+             (0.0, 1.0, True), (0.0, 1.0, np.float32(0.5)), ("0", 1.0, 0.5)]
+_BAD_IDS = ["nan-score", "inf-end", "inf-start", "reversed", "empty",
+            "negative-score", "bool-score", "float32-score", "str-start"]
+
+
+class TestWritersRejectWhatLoadersRefuse:
+    @pytest.mark.parametrize("row", _BAD_ROWS, ids=_BAD_IDS)
+    def test_proposals(self, tmp_path, row):
+        path = tmp_path / "props.json"
+        good = Proposal(0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"video 'v', proposal 1: "):
+            save_proposals({"a": [good], "v": [good, Proposal(*row)]}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row", _BAD_ROWS, ids=_BAD_IDS)
+    def test_detections(self, tmp_path, row):
+        path = tmp_path / "dets.json"
+        start, end, score = row
+        with pytest.raises(ValueError, match=r"video 'v', detection 0: "):
+            save_detections({"v": [Detection(start, end, "a", score)]}, path)
+        assert not path.exists()
+
+    def test_detection_label_must_be_str(self, tmp_path):
+        with pytest.raises(ValueError, match="label must be str"):
+            save_detections({"v": [Detection(0.0, 1.0, 3, 0.5)]},
+                            tmp_path / "dets.json")
+
+
+def _json_numbers(draw_float):
+    """Numbers of every type the writers take: int, float, np.float64."""
+    return st.one_of(st.integers(-10**18, 10**18), draw_float,
+                     draw_float.map(np.float64))
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e16, 1e-7, 0.1]))
+
+
+@st.composite
+def _rows(draw, labeled):
+    """One valid row: two distinct finite numbers in order, a score >= 0."""
+    a, b = draw(st.lists(_json_numbers(_FLOATS), min_size=2, max_size=2,
+                         unique_by=float))
+    start, end = (a, b) if a < b else (b, a)
+    score = draw(_json_numbers(_FLOATS).filter(lambda x: x >= 0))
+    if labeled:
+        return Detection(start, end, draw(st.text(max_size=6)), score)
+    return Proposal(start, end, score)
+
+
+def _results(labeled):
+    return st.dictionaries(st.text(max_size=6),
+                           st.lists(_rows(labeled), max_size=3), max_size=3)
+
+
+class TestWriterBytes:
+    """The writers' text is the bytes json.dumps writes for the documented
+    layout, with sorted keys, a one-space indent and a final newline."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(results=_results(labeled=False))
+    def test_proposals(self, tmp_path, results):
+        path = tmp_path / "props.json"
+        save_proposals(results, path)
+        doc = {"results": {
+            vid: [{"score": p.score, "segment": [p.start, p.end]}
+                  for p in plist] for vid, plist in results.items()}}
+        assert path.read_bytes() == \
+            (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(results=_results(labeled=True))
+    def test_detections(self, tmp_path, results):
+        path = tmp_path / "dets.json"
+        save_detections(results, path)
+        doc = {"version": "VERSION 1.3", "external_data": {}, "results": {
+            vid: [{"label": d.label, "score": d.score,
+                   "segment": [d.start, d.end]} for d in dlist]
+            for vid, dlist in results.items()}}
+        assert path.read_bytes() == \
+            (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
