@@ -8,29 +8,32 @@ bitwise-reproducible outputs for a fixed seed. Errors exit nonzero with a
 single ``error: <message>`` line on stderr; numpy floating-point warnings
 are silenced, because every non-finite result already ends in its own
 error.
+
+Run as ``python -m tadkit.cli``, this file loads only ``config`` and
+``dataio``; each ``cmd_*`` imports the modules it calls, so the eval
+commands never load the network and ``train`` never loads ``postprocess``
+or ``metrics``. Imported as ``tadkit.cli``, it loads them all up front.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, metrics, postprocess
-from .config import ConfigError, RunConfig, load_run_config
-from .model import (NetworkOutputs, TrainingDivergedError, ModelIOError,
-                    forward, load_model, load_outputs, save_model,
-                    save_outputs, train)
-from .preprocess import epoch_list
-from .proposals import ProposalGrid, proposal_grid
+from . import dataio
+from .config import (ConfigError, RunConfig, TrainingDivergedError,
+                     load_run_config)
 
-_ERRORS = (ConfigError, ModelIOError, TrainingDivergedError, ValueError,
-           OSError)
+if __name__ != "__main__":
+    # bench/traced_cli.py wraps functions in the modules this import loads.
+    from . import metrics, model, postprocess  # noqa: F401
+
+# A model file error (model.ModelIOError) is an OSError.
+_ERRORS = (ConfigError, TrainingDivergedError, ValueError, OSError)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -76,6 +79,8 @@ def _map_videos(worker, items: list, threads: int) -> list:
     order always follows the input order. Workers run in a copy of the
     caller's context, so they keep its numpy error state."""
     if threads > 1:
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
         context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(
@@ -107,6 +112,8 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
+    from .model import save_model, train
+    from .preprocess import epoch_list
     out = _out_dir(rc, args)
     anns = _load_annotation_file(rc, out)
     train_ids = [a.video_id for a in anns if a.subset == "training"]
@@ -143,8 +150,8 @@ def _subset_annotations(rc: RunConfig,
     return selected
 
 
-def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
-                    rc: RunConfig, out: Path) -> list[str]:
+def _emit_proposals(results: dict[str, list], rc: RunConfig,
+                    out: Path) -> list[str]:
     """Write proposals.json and, when class scores are available,
     detections.json; returns the filenames written.
 
@@ -153,6 +160,7 @@ def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
     detection is assembled before either file is written, so a missing
     score leaves neither.
     """
+    from . import postprocess
     dets = None
     scores_path = _artifact(rc.paths.class_scores, out, "class_scores.json")
     if rc.paths.class_scores or scores_path.exists():
@@ -170,11 +178,12 @@ def _emit_proposals(results: dict[str, list[postprocess.Proposal]],
     return ["proposals.json", "detections.json"]
 
 
-def _propose(outputs: NetworkOutputs, ann: dataio.VideoAnnotation,
-             grid: ProposalGrid, rc: RunConfig, out_dir: Path
-             ) -> tuple[str, list[postprocess.Proposal]]:
+def _propose(outputs: dataio.NetworkOutputs, ann: dataio.VideoAnnotation,
+             grid, rc: RunConfig, out_dir: Path) -> tuple[str, list]:
     """The per-video tail of infer and ensemble: check the outputs, save
     them under out_dir, and fuse and suppress them into proposals."""
+    from . import postprocess
+    from .model import save_outputs
     outputs.check_finite(f"video {ann.video_id!r}")
     save_outputs(outputs, out_dir / f"{ann.video_id}.npz")
     pc = rc.postprocess
@@ -186,7 +195,7 @@ def _propose(outputs: NetworkOutputs, ann: dataio.VideoAnnotation,
 
 def _propose_all(run_one, selected: list[dataio.VideoAnnotation],
                  rc: RunConfig, out: Path, threads: int
-                 ) -> tuple[dict[str, list[postprocess.Proposal]], list[str]]:
+                 ) -> tuple[dict[str, list], list[str]]:
     """Run the per-video worker over selected, then write the proposal
     files. When anything fails, the outputs/<video>.npz files of selected
     are removed before the error propagates: _map_videos has waited for
@@ -201,6 +210,8 @@ def _propose_all(run_one, selected: list[dataio.VideoAnnotation],
 
 
 def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
+    from .model import forward, load_model
+    from .proposals import proposal_grid
     out = _out_dir(rc, args)
     cfg, params = load_model(_artifact(rc.paths.model, out, "model.cpnm"))
     selected = _subset_annotations(rc, out)
@@ -224,6 +235,7 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval_proposals(rc: RunConfig, args: argparse.Namespace) -> int:
+    from . import metrics, postprocess
     out = _out_dir(rc, args)
     anns = _load_annotation_file(rc, out)
     props = postprocess.load_proposals(
@@ -244,6 +256,7 @@ def cmd_eval_proposals(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval_detections(rc: RunConfig, args: argparse.Namespace) -> int:
+    from . import metrics, postprocess
     out = _out_dir(rc, args)
     anns = _load_annotation_file(rc, out)
     dets = postprocess.load_detections(
@@ -257,6 +270,9 @@ def cmd_eval_detections(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
+    from . import postprocess
+    from .model import load_outputs
+    from .proposals import proposal_grid
     out = _out_dir(rc, args)
     ens = rc.ensemble
     if not ens.inputs:

@@ -36,7 +36,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +360,35 @@ def rescale_features(features: np.ndarray, t_target: int) -> np.ndarray:
     frac = pos - idx0
     idx1 = np.minimum(idx0 + 1, t_in - 1)
     return feats[idx0] * (1.0 - frac)[:, None] + feats[idx1] * frac[:, None]
+
+
+def _pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU matrix between (n, 2) and (m, 2) segment arrays; the IoU targets
+    and the metrics share it, so the eval commands skip ``proposals``."""
+    inter = np.clip(np.minimum(a[:, None, 1], b[None, :, 1])
+                    - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0, None)
+    union = (a[:, 1] - a[:, 0])[:, None] + (b[:, 1] - b[:, 0])[None, :] \
+        - inter
+    return inter / union
+
+
+@dataclass
+class NetworkOutputs:
+    """One video's network outputs: the boundary probability vectors and
+    the two D x T confidence maps."""
+
+    p_start: np.ndarray
+    p_end: np.ndarray
+    p_cls: np.ndarray
+    p_reg: np.ndarray
+
+    def check_finite(self, where: str) -> None:
+        """Reject outputs with a NaN or infinity; the error starts with
+        where and names the field."""
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{where}: network output {f.name} is not "
+                                 f"finite")
 
 
 @dataclass

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import AnnotationSet, Instance
+from .dataio import AnnotationSet, Instance, _pairwise_iou
 from .postprocess import Detection, Proposal
-from .proposals import _pairwise_iou
 
 DEFAULT_TIOU = np.linspace(0.5, 0.95, 10)
 DEFAULT_AN_MAX = 100

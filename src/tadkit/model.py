@@ -51,22 +51,21 @@ masks and ``W_r`` add about one map. No padded copy of a map is built.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import (AnnotationSet, VideoAnnotation, rescale_features,
-                     require, typed_fields)
-from .preprocess import (PreprocessConfig, epoch_list, resize_instance,
-                         temporal_shift)
-from .proposals import (MaskConfig, ProposalGrid, SamplingMatrix,
-                        build_sampling_matrix, draw_mask, gt_iou_map,
-                        proposal_grid)
+from .config import MODEL_KEYS  # noqa: F401  (its old import path)
+from .config import (MaskConfig, ModelConfig, PreprocessConfig,
+                     TrainingDivergedError)
+from .dataio import (AnnotationSet, NetworkOutputs, VideoAnnotation,
+                     rescale_features, typed_fields)
+from .preprocess import epoch_list, resize_instance, temporal_shift
+from .proposals import draw_mask, gt_iou_map
 
 MODEL_MAGIC = b"CPNM"
 MODEL_VERSION = 1
@@ -80,74 +79,6 @@ _STEP_CHUNK = 8
 
 class ModelIOError(IOError):
     """Model file is malformed."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
-
-
-# The ModelConfig fields that the grid and model sections of a run config
-# set; the mask section is its MaskConfig, and train sets c_in and seed.
-MODEL_KEYS = {
-    "grid": ("t_scale", "d_max", "n_samples", "expansion"),
-    "model": ("c_h", "kernel_size", "lambda_cls", "lambda_reg",
-              "learning_rate", "momentum", "epochs", "batch_size"),
-}
-
-
-@dataclass
-class ModelConfig:
-    """The network: grid geometry, layer widths, masking, losses and
-    optimizer. ``c_in`` is the feature channel count; for a config from a
-    run config, the ``tadkit train`` command sets it from the feature files.
-    """
-
-    c_in: int = 1
-    c_h: int = 32
-    kernel_size: int = 3
-    t_scale: int = 100
-    d_max: int = 100
-    n_samples: int = 32
-    expansion: float = 0.25
-    mask: MaskConfig = field(default_factory=MaskConfig)
-    lambda_cls: float = 1.0
-    lambda_reg: float = 1.0
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 10
-    batch_size: int = 16
-    seed: int = 0
-
-    def validate(self) -> None:
-        """Raise ValueError naming the run-config ``section.key`` of a value
-        out of range; ``c_in`` and ``seed`` belong to no section."""
-        def check(ok: bool, key: str, bound: str) -> None:
-            section = next((s for s, keys in MODEL_KEYS.items()
-                            if key in keys), None)
-            require(ok, f"{section}.{key}" if section else key, bound,
-                    getattr(self, key))
-
-        for key in ("c_in", "c_h", "t_scale", "d_max", "batch_size"):
-            check(getattr(self, key) >= 1, key, ">= 1")
-        check(self.kernel_size >= 1 and self.kernel_size % 2 == 1,
-              "kernel_size", "a positive odd number")
-        check(self.d_max <= self.t_scale, "d_max",
-              f"<= grid.t_scale ({self.t_scale})")
-        check(self.n_samples >= 2, "n_samples", ">= 2")
-        check(self.epochs >= 0, "epochs", ">= 0")
-        for key in ("expansion", "lambda_cls", "lambda_reg"):
-            check(0 <= getattr(self, key) < math.inf, key, "finite and >= 0")
-        check(0 < self.learning_rate < math.inf, "learning_rate",
-              "finite and > 0")
-        check(0 <= self.momentum < 1, "momentum", "in [0, 1)")
-        self.mask.validate()
-
-    def grid(self) -> ProposalGrid:
-        return proposal_grid(self.t_scale, self.d_max)
-
-    def sampling_matrix(self) -> SamplingMatrix:
-        return build_sampling_matrix(self.t_scale, self.d_max,
-                                     self.n_samples, self.expansion)
 
 
 def config_from_dict(d: object) -> ModelConfig:
@@ -172,24 +103,6 @@ def _all_fields(where: str, raw: object, types: dict[str, object]) -> dict:
             raise TypeError(f"missing config key: "
                             f"{where + '.' if where else ''}{key}")
     return kwargs
-
-
-@dataclass
-class NetworkOutputs:
-    """Boundary probability vectors and the two D x T confidence maps."""
-
-    p_start: np.ndarray
-    p_end: np.ndarray
-    p_cls: np.ndarray
-    p_reg: np.ndarray
-
-    def check_finite(self, where: str) -> None:
-        """Reject outputs with a NaN or infinity; the error starts with
-        where and names the field."""
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)).all():
-                raise ValueError(f"{where}: network output {f.name} is not "
-                                 f"finite")
 
 
 @dataclass
@@ -609,14 +522,6 @@ def _sample_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
     return total, g_start, g_end, g_cls, g_reg
 
 
-def _output_grads(fwd: dict, batch: list[TrainSample], cfg: ModelConfig,
-                  noise: StepNoise):
-    """The whole batch's mean loss and its output gradients, from one
-    forward pass over it."""
-    total, *grads = _sample_grads(fwd, batch, cfg, noise, len(batch), 0.0)
-    return (total / len(batch), *grads)
-
-
 def _step(params: dict, batch: list[TrainSample], cfg: ModelConfig,
           noise: StepNoise, backward: bool
           ) -> tuple[float, dict[str, np.ndarray]]:
@@ -818,17 +723,23 @@ def load_outputs(path: str | Path) -> NetworkOutputs:
     """Read one video's network outputs, as written by save_outputs.
 
     Raises ValueError naming the file when the archive is unreadable, a
-    field is missing, the boundary vectors are not one (T,) shape, the maps
-    not one (D, T) shape with D <= T, or a value is not finite.
+    field is missing or not a real floating-point array, the boundary
+    vectors are not one (T,) shape, the maps not one (D, T) shape with
+    D <= T, or a value is not finite.
     """
     try:
-        with np.load(path) as data:
-            out = NetworkOutputs(*(data[f.name].astype(np.float64, copy=False)
-                                   for f in fields(NetworkOutputs)))
+        # Opened here: np.load leaks a file it opens on a corrupt archive.
+        with open(path, "rb") as fh, np.load(fh) as data:
+            arrays = [data[f.name] for f in fields(NetworkOutputs)]
     except (OSError, EOFError, KeyError, ValueError,
             zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: unreadable network outputs: {exc}") \
             from exc
+    for f, arr in zip(fields(NetworkOutputs), arrays):
+        if arr.dtype.kind != "f":
+            raise ValueError(f"{path}: network output {f.name} must be a "
+                             f"real floating-point array, got {arr.dtype}")
+    out = NetworkOutputs(*(a.astype(np.float64, copy=False) for a in arrays))
     t = out.p_start.shape
     if len(t) != 1 or out.p_end.shape != t:
         raise ValueError(f"{path}: p_start and p_end must share one (T,) "

@@ -51,9 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import read_json, rescale_features
-from .model import NetworkOutputs
-from .proposals import ProposalGrid
+from .dataio import NetworkOutputs, read_json, rescale_features
 
 DETECTION_VERSION = "VERSION 1.3"
 # soft_nms checks every this many selections whether fewer than half of its

@@ -9,39 +9,11 @@ of channels by one snippet in each temporal direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (AnnotationSet, Instance, VideoAnnotation,
-                     rescale_features, require)
-
-
-@dataclass
-class PreprocessConfig:
-    theta_long: float = 0.98
-    theta_short: float = 0.05
-    repeat_factor: int = 2
-    resize_lo: float = 0.8
-    resize_hi: float = 1.25
-    shift_fraction: float = 0.125
-    enable_remove_long: bool = True
-    enable_resample_short: bool = True
-    enable_resize: bool = False
-    enable_shift: bool = False
-
-    def validate(self) -> None:
-        def check(ok: bool, key: str, bound: str) -> None:
-            require(ok, f"preprocess.{key}", bound, getattr(self, key))
-
-        check(0 < self.theta_long <= 1, "theta_long", "in (0, 1]")
-        check(0 <= self.theta_short < math.inf, "theta_short",
-              "finite and >= 0")
-        check(self.repeat_factor >= 1, "repeat_factor", ">= 1")
-        check(0 < self.resize_lo < math.inf, "resize_lo", "finite and > 0")
-        check(self.resize_lo <= self.resize_hi < math.inf, "resize_hi",
-              f"finite and >= preprocess.resize_lo ({self.resize_lo})")
-        check(0 <= self.shift_fraction <= 0.5, "shift_fraction", "in [0, 0.5]")
+from .config import PreprocessConfig
+from .dataio import AnnotationSet, Instance, VideoAnnotation, rescale_features
 
 
 def interval_union_length(intervals: list[tuple[float, float]]) -> float:

@@ -14,7 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dataio import VideoAnnotation, require
+from .config import MaskConfig
+from .dataio import VideoAnnotation, _pairwise_iou
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ def proposal_grid(t_scale: int, d_max: int) -> ProposalGrid:
     valid = t + d + 1 <= t_scale
     valid.setflags(write=False)
     return ProposalGrid(t_scale, d_max, valid)
-
-
-def _pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU matrix between (n, 2) and (m, 2) segment arrays."""
-    inter = np.clip(np.minimum(a[:, None, 1], b[None, :, 1])
-                    - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0, None)
-    union = (a[:, 1] - a[:, 0])[:, None] + (b[:, 1] - b[:, 0])[None, :] \
-        - inter
-    return inter / union
 
 
 def gt_iou_map(grid: ProposalGrid, ann: VideoAnnotation) -> np.ndarray:
@@ -224,20 +216,6 @@ def sample_adjoint(grad_out: np.ndarray, sm: SamplingMatrix) -> np.ndarray:
             out += np.bincount((rows + cols[:, n]).ravel(),
                                (g * wts[:, n]).ravel(), minlength=out.size)
     return out.reshape(*lead, sm.t_in)
-
-
-@dataclass
-class MaskConfig:
-    """Random proposal-feature masking, applied by training steps only."""
-
-    p: float = 0.1
-    granularity: str = "proposal"  # or "channel"
-
-    def validate(self) -> None:
-        require(0 <= self.p < 1, "mask.p", "in [0, 1)", self.p)
-        require(self.granularity in ("proposal", "channel"),
-                "mask.granularity", "'proposal' or 'channel'",
-                repr(self.granularity))
 
 
 def draw_mask(shape: tuple[int, int, int], cfg: MaskConfig,

@@ -18,12 +18,15 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tadkit
 from tadkit import (NetworkOutputs, SynthConfig, save_annotations,
                     save_class_scores, save_outputs, synth_dataset)
 from tadkit.cli import _COMMANDS, main
@@ -33,6 +36,7 @@ from tadkit.postprocess import (Detection, Proposal, load_detections,
                                 save_proposals)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(tadkit.__file__).resolve().parents[1]
 
 
 def _load_bench_module(name: str):
@@ -67,6 +71,22 @@ def test_every_traced_name_resolves():
             assert callable(getattr(module, name, None)), \
                 f"bench/traced_cli.py traces tadkit.{short}.{name}, " \
                 f"which does not exist"
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    """bench/traced_cli.py wraps each traced function in the tadkit modules
+    that ``import tadkit.cli`` has loaded, so that import must load every
+    traced module; run as ``python -m tadkit.cli``, the CLI loads only
+    what its command calls."""
+    traced = _load_bench_module("traced_cli").TRACED
+    code = ("import json, sys, tadkit.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {f"tadkit.{short}" for short in traced} <= loaded
 
 
 @pytest.mark.parametrize("script", ["workloads.py", "run.py"])

@@ -8,6 +8,7 @@ package and takes a few seconds.
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,6 +48,28 @@ def _run_config_floats():
             yield from ((section, key, i) for i, tp
                         in enumerate(typing.get_args(hints[key]))
                         if tp is float)
+
+
+def _run_config_ints():
+    """(section, key, element) for each integer that a run config sets, read
+    from the sections' type hints as _run_config_floats reads the floats;
+    section is None for the top-level seed."""
+    yield None, "seed", None
+    for section, cls in _SECTION_CLASSES.items():
+        hints = typing.get_type_hints(cls)
+        if section == "synth":
+            del hints["seed"]  # the top-level seed is the run's one
+        for key in MODEL_KEYS.get(section, hints):
+            if hints[key] is int:
+                yield section, key, None
+            yield from ((section, key, i) for i, tp
+                        in enumerate(typing.get_args(hints[key]))
+                        if tp is int)
+
+
+# The integer keys whose range admits 0.
+_ZERO_ALLOWED = {(None, "seed"), ("synth", "n_videos"),
+                 ("synth", "instances_range"), ("model", "epochs")}
 
 
 class TestRunConfig:
@@ -207,6 +230,30 @@ class TestRunConfig:
         raw = json.loads(json.dumps({section: body}).replace('"@"', literal))
         with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
             run_config_from_dict(raw)
+
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    @pytest.mark.parametrize("section, key, element",
+                             list(_run_config_ints()))
+    def test_every_int_key_has_a_lower_bound(self, section, key, element,
+                                             value):
+        """An integer key at -1, or at 0 unless its range admits 0, fails by
+        its own name. A range element set to the value takes the elements
+        before it down to the value too, so [lo, hi] stays ordered."""
+        body = {key: value}
+        if element is not None:
+            items = list(getattr(_SECTION_CLASSES[section](), key))
+            items[element] = value
+            body[key] = [min(x, value) for x in items[:element]] \
+                + items[element:]
+        raw = body if section is None else {section: body}
+        name = key if section is None else f"{section}.{key}"
+        if value == 0 and (section, key) in _ZERO_ALLOWED:
+            run_config_from_dict(raw)
+        else:
+            with pytest.raises(ConfigError,
+                               match=rf"^{re.escape(name)} must be "):
+                run_config_from_dict(raw)
 
 
 class TestMainErrors:
@@ -572,14 +619,15 @@ class TestPipeline:
 
     def test_non_finite_network_output_is_one_error_line(
             self, pipeline, tmp_path, capsys, monkeypatch):
-        real_forward = cli.forward
+        real_forward = tadkit.model.forward
 
         def nan_forward(*args, **kwargs):
             out = real_forward(*args, **kwargs)
             out.p_cls[0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(cli, "forward", nan_forward)
+        # cmd_infer imports forward from tadkit.model when it runs.
+        monkeypatch.setattr(tadkit.model, "forward", nan_forward)
         err = self._command_error(pipeline, tmp_path, capsys)
         assert "video " in err and "p_cls is not finite" in err
         assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
@@ -621,9 +669,10 @@ class TestPipeline:
         assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
         assert not (tmp_path / "bad" / "proposals.json").exists()
 
+    @pytest.mark.filterwarnings("error")  # complex: no ComplexWarning cast
     @pytest.mark.parametrize("defect", [
         "missing_key", "truncated", "vector_shape", "map_rows",
-        "map_taller_than_wide", "non_finite"])
+        "map_taller_than_wide", "non_finite", "complex"])
     def test_bad_ensemble_member_is_one_error_line(
             self, pipeline, tmp_path, capsys, defect):
         member = tmp_path / "member"
@@ -642,6 +691,8 @@ class TestPipeline:
                 arrays["p_cls"] = arrays["p_reg"] = np.full((t + 1, t), 0.5)
             elif defect == "non_finite":
                 arrays["p_start"][0] = np.nan
+            elif defect == "complex":
+                arrays["p_cls"] = arrays["p_cls"] + 0j
             np.savez(member / src.name, **arrays)
             if defect == "truncated":
                 data = (member / src.name).read_bytes()
@@ -650,6 +701,7 @@ class TestPipeline:
             pipeline, tmp_path, capsys, command="ensemble",
             sections={"ensemble": {"inputs": [str(member)]}})
         assert str(member) in err
+        assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
         assert not (tmp_path / "bad" / "proposals.json").exists()
 
     def test_infinite_resize_hi_is_one_error_line(self, pipeline, tmp_path,

@@ -29,11 +29,18 @@ import numpy as np
 import pytest
 
 from tadkit.model import (_STEP_CHUNK, ModelConfig, _backward_batch,
-                          _forward_batch, _output_grads, _proposal_reduce,
+                          _forward_batch, _proposal_reduce, _sample_grads,
                           _sigmoid, batch_loss, draw_step_noise, forward,
                           loss_and_gradients)
 from tadkit.proposals import MaskConfig, SamplingMatrix
 from test_model import perturbed_params, random_sample
+
+
+def _output_grads(fwd, batch, cfg, noise):
+    """The whole batch's mean loss and its output gradients, from one
+    forward pass over it."""
+    total, *grads = _sample_grads(fwd, batch, cfg, noise, len(batch), 0.0)
+    return (total / len(batch), *grads)
 
 
 # The earlier step, verbatim but for the two swaps above: _pad, _tap_sum,

@@ -556,3 +556,37 @@ class TestModelIO:
         back = load_outputs(path)
         np.testing.assert_array_equal(back.p_start, out.p_start)
         np.testing.assert_array_equal(back.p_cls, out.p_cls)
+
+    def _outputs_with(self, tmp_path, field, value):
+        cfg = tiny_config()
+        rng = np.random.default_rng(1)
+        out = forward(init_params(cfg, rng), rng.normal(size=(8, 3)), cfg)
+        arrays = {**vars(out), field: value(getattr(out, field))}
+        path = tmp_path / "o.npz"
+        np.savez(path, **arrays)
+        return path, out
+
+    @pytest.mark.parametrize("dtype", ["<f2", "<f4", ">f8"])
+    def test_outputs_of_any_float_dtype_load(self, tmp_path, dtype):
+        path, out = self._outputs_with(tmp_path, "p_cls",
+                                       lambda a: a.astype(dtype))
+        back = load_outputs(path)
+        assert back.p_cls.dtype == np.float64
+        np.testing.assert_array_equal(back.p_cls,
+                                      out.p_cls.astype(dtype))
+
+    @pytest.mark.parametrize("field", ["p_start", "p_cls"])
+    @pytest.mark.parametrize("convert", [
+        lambda a: a + 1j,
+        lambda a: a.astype("datetime64[s]"),
+        lambda a: a > 0.5,
+        lambda a: a.astype(np.int64),
+        lambda a: np.rec.fromarrays([a], names="x"),
+    ], ids=["complex", "datetime64", "bool", "int", "structured"])
+    def test_outputs_that_are_not_real_floats_rejected(self, tmp_path,
+                                                       field, convert):
+        path, _ = self._outputs_with(tmp_path, field, convert)
+        with pytest.raises(ValueError,
+                           match=rf"o\.npz: network output {field} must be "
+                                 r"a real floating-point array"):
+            load_outputs(path)
