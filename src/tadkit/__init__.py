@@ -21,13 +21,13 @@ _HOMES = {
         TrainingDivergedError load_run_config run_config_from_dict""",
     "dataio": """AnnotationError AnnotationSet FeatureIOError Instance
         NetworkOutputs SynthConfig SynthesisError VideoAnnotation
-        load_annotations load_class_scores load_features rescale_features
-        save_annotations save_class_scores save_features synth_dataset""",
+        load_annotations load_class_scores load_features load_outputs
+        rescale_features save_annotations save_class_scores save_features
+        save_outputs synth_dataset""",
     "metrics": """ARCurve MapReport ap_at_tiou ar_curve auc average_map
         detection_ground_truth proposal_ground_truth""",
     "model": """BoundaryLabels ModelIOError TrainSample boundary_labels
-        compute_gradients forward init_params load_model load_outputs
-        save_model save_outputs train""",
+        compute_gradients forward init_params load_model save_model train""",
     "postprocess": """Detection Proposal assemble_detections ensemble_maps
         fuse_scores load_detections load_proposals rescale_outputs
         save_detections save_proposals soft_nms""",

@@ -1,18 +1,20 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, train, infer, eval-proposals, eval-detections,
-ensemble. All take the global flags --config, --seed, --threads and --out;
-everything else comes from the JSON run config (flags win over the file).
-Per-video stages honor --threads; --threads 1 guarantees
-bitwise-reproducible outputs for a fixed seed. Errors exit nonzero with a
-single ``error: <message>`` line on stderr; numpy floating-point warnings
-are silenced, because every non-finite result already ends in its own
-error.
+ensemble; infer and ensemble are one proposal stage (``_propose_all``) fed
+by the network or by the saved members' mean. All take the global flags
+--config, --seed, --threads and --out; everything else comes from the JSON
+run config (flags win over the file). Per-video stages honor --threads;
+--threads 1 guarantees bitwise-reproducible outputs for a fixed seed.
+Errors exit nonzero with a single ``error: <message>`` line on stderr;
+numpy floating-point warnings are silenced, because every non-finite
+result already ends in its own error.
 
 Run as ``python -m tadkit.cli``, this file loads only ``config`` and
 ``dataio``; each ``cmd_*`` imports the modules it calls, so the eval
-commands never load the network and ``train`` never loads ``postprocess``
-or ``metrics``. Imported as ``tadkit.cli``, it loads them all up front.
+commands and ensemble never load the network and ``train`` never loads
+``postprocess`` or ``metrics``. Imported as ``tadkit.cli``, it loads them
+all up front.
 """
 
 from __future__ import annotations
@@ -150,62 +152,51 @@ def _subset_annotations(rc: RunConfig,
     return selected
 
 
-def _emit_proposals(results: dict[str, list], rc: RunConfig,
-                    out: Path) -> list[str]:
-    """Write proposals.json and, when class scores are available,
-    detections.json; returns the filenames written.
-
-    An explicitly configured paths.class_scores must exist; the fallback
-    under the output directory is used only when present there. Every
-    detection is assembled before either file is written, so a missing
-    score leaves neither.
-    """
+def _propose_all(network_outputs, selected: list[dataio.VideoAnnotation],
+                 grid, rc: RunConfig, out: Path, threads: int) -> list[str]:
+    """The proposal stage of infer and ensemble: each selected video's
+    network_outputs(ann) is checked, saved as outputs/<video>.npz, fused
+    and soft-NMSed, and given its classes; then proposals.json and, with
+    class scores (paths.class_scores, or class_scores.json under out when
+    present), detections.json are written. Returns their names. On any
+    failure the outputs/<video>.npz files of selected are removed:
+    _map_videos has waited for every worker by then."""
     from . import postprocess
-    dets = None
+    scores = None
     scores_path = _artifact(rc.paths.class_scores, out, "class_scores.json")
     if rc.paths.class_scores or scores_path.exists():
         scores = dataio.load_class_scores(scores_path)
-        dets = {}
-        for vid, props in results.items():
-            if vid not in scores or not scores[vid]:
-                raise ValueError(f"no class scores for video {vid!r}")
-            dets[vid] = postprocess.assemble_detections(
-                props, scores[vid], rc.postprocess.top_k)
-    postprocess.save_proposals(results, out / "proposals.json")
-    if dets is None:
-        return ["proposals.json"]
-    postprocess.save_detections(dets, out / "detections.json")
-    return ["proposals.json", "detections.json"]
-
-
-def _propose(outputs: dataio.NetworkOutputs, ann: dataio.VideoAnnotation,
-             grid, rc: RunConfig, out_dir: Path) -> tuple[str, list]:
-    """The per-video tail of infer and ensemble: check the outputs, save
-    them under out_dir, and fuse and suppress them into proposals."""
-    from . import postprocess
-    from .model import save_outputs
-    outputs.check_finite(f"video {ann.video_id!r}")
-    save_outputs(outputs, out_dir / f"{ann.video_id}.npz")
+    out_dir = out / "outputs"
+    out_dir.mkdir(exist_ok=True)
     pc = rc.postprocess
-    props = postprocess.soft_nms(
-        postprocess.fuse_scores(outputs, grid, ann.duration),
-        pc.sigma, pc.score_floor, pc.max_out)
-    return ann.video_id, props
 
+    def run_one(ann: dataio.VideoAnnotation):
+        vid = ann.video_id
+        outputs = network_outputs(ann)
+        outputs.check_finite(f"video {vid!r}")
+        dataio.save_outputs(outputs, out_dir / f"{vid}.npz")
+        props = postprocess.soft_nms(
+            postprocess.fuse_scores(outputs, grid, ann.duration),
+            pc.sigma, pc.score_floor, pc.max_out)
+        if scores is None:
+            return vid, props, None
+        if vid not in scores or not scores[vid]:
+            raise ValueError(f"no class scores for video {vid!r}")
+        return vid, props, postprocess.assemble_detections(
+            props, scores[vid], pc.top_k)
 
-def _propose_all(run_one, selected: list[dataio.VideoAnnotation],
-                 rc: RunConfig, out: Path, threads: int
-                 ) -> tuple[dict[str, list], list[str]]:
-    """Run the per-video worker over selected, then write the proposal
-    files. When anything fails, the outputs/<video>.npz files of selected
-    are removed before the error propagates: _map_videos has waited for
-    every worker by then, so none is still writing."""
     try:
-        results = dict(sorted(_map_videos(run_one, selected, threads)))
-        return results, _emit_proposals(results, rc, out)
+        rows = sorted(_map_videos(run_one, selected, threads))
+        postprocess.save_proposals({vid: props for vid, props, _ in rows},
+                                   out / "proposals.json")
+        if scores is None:
+            return ["proposals.json"]
+        postprocess.save_detections({vid: dets for vid, _, dets in rows},
+                                    out / "detections.json")
+        return ["proposals.json", "detections.json"]
     except BaseException:
         for ann in selected:
-            (out / "outputs" / f"{ann.video_id}.npz").unlink(missing_ok=True)
+            (out_dir / f"{ann.video_id}.npz").unlink(missing_ok=True)
         raise
 
 
@@ -215,21 +206,20 @@ def cmd_infer(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc, args)
     cfg, params = load_model(_artifact(rc.paths.model, out, "model.cpnm"))
     selected = _subset_annotations(rc, out)
-    grid = proposal_grid(cfg.t_scale, cfg.d_max)
-    out_dir = out / "outputs"
-    out_dir.mkdir(exist_ok=True)
 
-    def run_one(ann: dataio.VideoAnnotation):
+    def forward_on_features(ann: dataio.VideoAnnotation):
         raw = dataio.load_features(_feature_path(rc, out, ann.video_id))
         if raw.shape[1] != cfg.c_in:
             raise ValueError(f"{ann.video_id}: feature file has "
                              f"{raw.shape[1]} channels, model expects "
                              f"{cfg.c_in}")
-        seq = dataio.rescale_features(raw, cfg.t_scale)
-        return _propose(forward(params, seq, cfg), ann, grid, rc, out_dir)
+        return forward(params, dataio.rescale_features(raw, cfg.t_scale),
+                       cfg)
 
-    results, written = _propose_all(run_one, selected, rc, out, args.threads)
-    print(f"inferred {len(results)} videos; wrote outputs/ and "
+    written = _propose_all(forward_on_features, selected,
+                           proposal_grid(cfg.t_scale, cfg.d_max), rc, out,
+                           args.threads)
+    print(f"inferred {len(selected)} videos; wrote outputs/ and "
           f"{', '.join(written)}")
     return 0
 
@@ -271,33 +261,35 @@ def cmd_eval_detections(rc: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_ensemble(rc: RunConfig, args: argparse.Namespace) -> int:
     from . import postprocess
-    from .model import load_outputs
     from .proposals import proposal_grid
     out = _out_dir(rc, args)
     ens = rc.ensemble
     if not ens.inputs:
         raise ConfigError("ensemble.inputs is empty")
+    own = (out / "outputs").resolve()  # written, and removed on failure
+    for i, d in enumerate(ens.inputs):
+        if Path(d).resolve() == own:
+            raise ConfigError(f"ensemble.inputs[{i}] is this run's own "
+                              f"outputs directory {own}; pass another --out")
     weights = list(ens.weights) if ens.weights else [1.0] * len(ens.inputs)
     selected = _subset_annotations(rc, out)
     t_scale, d_max = rc.model.t_scale, rc.model.d_max
-    grid = proposal_grid(t_scale, d_max)
-    out_dir = out / "outputs"
-    out_dir.mkdir(exist_ok=True)
 
-    def run_one(ann: dataio.VideoAnnotation):
+    def mean_of_members(ann: dataio.VideoAnnotation):
         members = []
         for d in ens.inputs:
             try:
-                member = load_outputs(Path(d) / f"{ann.video_id}.npz")
+                member = dataio.load_outputs(Path(d) / f"{ann.video_id}.npz")
             except ValueError as exc:
                 raise ValueError(f"video {ann.video_id!r}: {exc}") from exc
             members.append(postprocess.rescale_outputs(member, t_scale,
                                                        d_max))
-        return _propose(postprocess.ensemble_maps(members, weights), ann,
-                        grid, rc, out_dir)
+        return postprocess.ensemble_maps(members, weights)
 
-    results, written = _propose_all(run_one, selected, rc, out, args.threads)
-    print(f"ensembled {len(ens.inputs)} models over {len(results)} videos; "
+    written = _propose_all(mean_of_members, selected,
+                           proposal_grid(t_scale, d_max), rc, out,
+                           args.threads)
+    print(f"ensembled {len(ens.inputs)} models over {len(selected)} videos; "
           f"wrote outputs/ and {', '.join(written)}")
     return 0
 

@@ -14,6 +14,9 @@ Conventions used across the package:
 
 * Feature files are binary, little-endian: magic ``CPNF``, u32 version=1,
   u32 T, u32 C, then T*C IEEE-754 float32 values, time-major.
+* Network outputs are one ``.npz`` archive per video, keys ``p_start`` and
+  ``p_end`` (T,), ``p_cls`` and ``p_reg`` (D, T) with D <= T; any real
+  float dtype is loaded as float64.
 * Class scores are JSON: ``{"<video_id>": [{"label": ..., "score": ...}]}``
   with scores sorted non-increasing and labels unique per video.
 * Every JSON artifact (annotations, class scores, run config, proposals,
@@ -36,6 +39,7 @@ import json
 import math
 import struct
 import typing
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -389,6 +393,47 @@ class NetworkOutputs:
             if not np.isfinite(getattr(self, f.name)).all():
                 raise ValueError(f"{where}: network output {f.name} is not "
                                  f"finite")
+
+
+def save_outputs(outputs: NetworkOutputs, path: str | Path) -> None:
+    """Serialize one video's network outputs as an .npz archive."""
+    np.savez(path, p_start=outputs.p_start, p_end=outputs.p_end,
+             p_cls=outputs.p_cls, p_reg=outputs.p_reg)
+
+
+def load_outputs(path: str | Path) -> NetworkOutputs:
+    """Read one video's network outputs, as written by save_outputs.
+
+    Raises ValueError naming the file when the archive is unreadable, a
+    field is missing or not a real floating-point array, the boundary
+    vectors are not one (T,) shape, the maps not one (D, T) shape with
+    D <= T, or a value is not finite.
+    """
+    try:
+        # Opened here: np.load leaks a file it opens on a corrupt archive.
+        with open(path, "rb") as fh, np.load(fh) as data:
+            arrays = [data[f.name] for f in fields(NetworkOutputs)]
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            RuntimeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable network outputs: {exc}") \
+            from exc
+    for f, arr in zip(fields(NetworkOutputs), arrays):
+        if arr.dtype.kind != "f":
+            raise ValueError(f"{path}: network output {f.name} must be a "
+                             f"real floating-point array, got {arr.dtype}")
+    out = NetworkOutputs(*(a.astype(np.float64, copy=False) for a in arrays))
+    t = out.p_start.shape
+    if len(t) != 1 or out.p_end.shape != t:
+        raise ValueError(f"{path}: p_start and p_end must share one (T,) "
+                         f"shape, got {t} and {out.p_end.shape}")
+    d = out.p_cls.shape
+    if len(d) != 2 or d[1:] != t or not 1 <= d[0] <= t[0] \
+            or out.p_reg.shape != d:
+        raise ValueError(f"{path}: p_cls and p_reg must share one (D, T) "
+                         f"shape with D <= T = {t[0]}, got {d} and "
+                         f"{out.p_reg.shape}")
+    out.check_finite(str(path))
+    return out
 
 
 @dataclass

@@ -53,17 +53,18 @@ from __future__ import annotations
 import json
 import struct
 import typing
-import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import MODEL_KEYS  # noqa: F401  (its old import path)
 from .config import (MaskConfig, ModelConfig, PreprocessConfig,
                      TrainingDivergedError)
 from .dataio import (AnnotationSet, NetworkOutputs, VideoAnnotation,
                      rescale_features, typed_fields)
+# bench/traced_cli.py traces the outputs codec here, under the keys that
+# BENCHMARK.json fixes (model.save_outputs.*, model.load_outputs.*).
+from .dataio import load_outputs, save_outputs  # noqa: F401
 from .preprocess import epoch_list, resize_instance, temporal_shift
 from .proposals import draw_mask, gt_iou_map
 
@@ -711,44 +712,3 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if offset != len(data):
         raise ModelIOError(f"{path}: {len(data) - offset} trailing bytes")
     return cfg, params
-
-
-def save_outputs(outputs: NetworkOutputs, path: str | Path) -> None:
-    """Serialize one video's network outputs as an .npz archive."""
-    np.savez(path, p_start=outputs.p_start, p_end=outputs.p_end,
-             p_cls=outputs.p_cls, p_reg=outputs.p_reg)
-
-
-def load_outputs(path: str | Path) -> NetworkOutputs:
-    """Read one video's network outputs, as written by save_outputs.
-
-    Raises ValueError naming the file when the archive is unreadable, a
-    field is missing or not a real floating-point array, the boundary
-    vectors are not one (T,) shape, the maps not one (D, T) shape with
-    D <= T, or a value is not finite.
-    """
-    try:
-        # Opened here: np.load leaks a file it opens on a corrupt archive.
-        with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = [data[f.name] for f in fields(NetworkOutputs)]
-    except (OSError, EOFError, KeyError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable network outputs: {exc}") \
-            from exc
-    for f, arr in zip(fields(NetworkOutputs), arrays):
-        if arr.dtype.kind != "f":
-            raise ValueError(f"{path}: network output {f.name} must be a "
-                             f"real floating-point array, got {arr.dtype}")
-    out = NetworkOutputs(*(a.astype(np.float64, copy=False) for a in arrays))
-    t = out.p_start.shape
-    if len(t) != 1 or out.p_end.shape != t:
-        raise ValueError(f"{path}: p_start and p_end must share one (T,) "
-                         f"shape, got {t} and {out.p_end.shape}")
-    d = out.p_cls.shape
-    if len(d) != 2 or d[1:] != t or not 1 <= d[0] <= t[0] \
-            or out.p_reg.shape != d:
-        raise ValueError(f"{path}: p_cls and p_reg must share one (D, T) "
-                         f"shape with D <= T = {t[0]}, got {d} and "
-                         f"{out.p_reg.shape}")
-    out.check_finite(str(path))
-    return out

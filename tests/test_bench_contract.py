@@ -73,6 +73,17 @@ def test_every_traced_name_resolves():
                 f"which does not exist"
 
 
+def test_traced_outputs_codec_is_the_one_that_runs():
+    """BENCHMARK.json fixes the codec's keys as model.save_outputs.* and
+    model.load_outputs.*, and bench/traced_cli.py looks the codec up on
+    tadkit.model; the codec lives in dataio, so the two names must be
+    the same functions for those keys to measure it."""
+    model = importlib.import_module("tadkit.model")
+    dataio = importlib.import_module("tadkit.dataio")
+    for name in ("save_outputs", "load_outputs"):
+        assert getattr(model, name) is getattr(dataio, name), name
+
+
 def test_importing_the_cli_loads_every_traced_module():
     """bench/traced_cli.py wraps each traced function in the tadkit modules
     that ``import tadkit.cli`` has loaded, so that import must load every

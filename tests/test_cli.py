@@ -21,11 +21,11 @@ import pytest
 import tadkit
 from tadkit import cli, config
 from tadkit.cli import main
-from tadkit.config import (ConfigError, RunConfig, load_run_config,
-                           run_config_from_dict)
+from tadkit.config import (MODEL_KEYS, ConfigError, RunConfig,
+                           load_run_config, run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features, save_features
-from tadkit.model import (MODEL_KEYS, ModelConfig, load_model, load_outputs,
-                          save_model, save_outputs)
+from tadkit.model import (ModelConfig, load_model, load_outputs, save_model,
+                          save_outputs)
 from tadkit.postprocess import load_detections, load_proposals
 from tadkit.preprocess import epoch_list
 from tadkit.proposals import SamplingMatrix
@@ -672,7 +672,7 @@ class TestPipeline:
     @pytest.mark.filterwarnings("error")  # complex: no ComplexWarning cast
     @pytest.mark.parametrize("defect", [
         "missing_key", "truncated", "vector_shape", "map_rows",
-        "map_taller_than_wide", "non_finite", "complex"])
+        "map_taller_than_wide", "non_finite", "complex", "encrypted"])
     def test_bad_ensemble_member_is_one_error_line(
             self, pipeline, tmp_path, capsys, defect):
         member = tmp_path / "member"
@@ -697,11 +697,34 @@ class TestPipeline:
             if defect == "truncated":
                 data = (member / src.name).read_bytes()
                 (member / src.name).write_bytes(data[:len(data) // 2])
+            elif defect == "encrypted":  # flag of the first central entry
+                data = bytearray((member / src.name).read_bytes())
+                data[data.index(b"PK\x01\x02") + 8] |= 1
+                (member / src.name).write_bytes(bytes(data))
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
             sections={"ensemble": {"inputs": [str(member)]}})
         assert str(member) in err
         assert not list((tmp_path / "bad" / "outputs").glob("*.npz"))
+        assert not (tmp_path / "bad" / "proposals.json").exists()
+
+    def test_ensemble_of_its_own_outputs_is_one_error_line(
+            self, pipeline, tmp_path, capsys):
+        """A member directory that is the run's own outputs/ would be
+        overwritten by the run, and removed when it fails (here, on the
+        other member's missing file); it is refused before anything is
+        read or written."""
+        own, member = tmp_path / "bad" / "outputs", tmp_path / "member"
+        for path in (own, member):
+            shutil.copytree(pipeline / "out" / "outputs", path)
+        min(member.glob("*.npz")).unlink()
+        before = {p.name: p.read_bytes() for p in own.glob("*.npz")}
+        err = self._command_error(
+            pipeline, tmp_path, capsys, command="ensemble",
+            sections={"ensemble": {"inputs": [
+                str(member), str(own / ".." / "outputs")]}})
+        assert "ensemble.inputs[1]" in err
+        assert {p.name: p.read_bytes() for p in own.glob("*.npz")} == before
         assert not (tmp_path / "bad" / "proposals.json").exists()
 
     def test_infinite_resize_hi_is_one_error_line(self, pipeline, tmp_path,

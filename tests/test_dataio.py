@@ -1,17 +1,21 @@
 """Tests for annotation/feature/class-score IO, temporal rescaling, and the
 synthetic dataset generator."""
 
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tadkit.dataio import (AnnotationError, AnnotationSet, FeatureIOError,
-                           Instance, SynthConfig, SynthesisError,
-                           VideoAnnotation, load_annotations,
-                           load_class_scores, load_features, rescale_features,
-                           save_annotations, save_class_scores, save_features,
+                           Instance, NetworkOutputs, SynthConfig,
+                           SynthesisError, VideoAnnotation, load_annotations,
+                           load_class_scores, load_features, load_outputs,
+                           rescale_features, save_annotations,
+                           save_class_scores, save_features, save_outputs,
                            synth_dataset, write_json)
 
 
@@ -198,6 +202,56 @@ class TestFeatures:
         p.write_bytes(b"CPNF" + struct.pack("<III", 1, t, c))
         with pytest.raises(FeatureIOError, match=f"T={t}, C={c}"):
             load_features(p)
+
+
+def _outputs_file() -> bytes:
+    """The bytes of one valid outputs file, T = 8 and D = 6."""
+    rng = np.random.default_rng(0)
+    buf = io.BytesIO()
+    save_outputs(NetworkOutputs(rng.random(8), rng.random(8),
+                                rng.random((6, 8)), rng.random((6, 8))), buf)
+    return buf.getvalue()
+
+
+_OUTPUTS_FILE = _outputs_file()
+
+
+@st.composite
+def _damaged_outputs_file(draw) -> bytes:
+    """A copy of _OUTPUTS_FILE with one byte changed, or truncated; half
+    the offsets fall in the archive's central directory, whose entries
+    zipfile reads first."""
+    data = bytearray(_OUTPUTS_FILE)
+    offset = draw(st.integers(0, len(data) - 1)
+                  | st.integers(data.index(b"PK\x01\x02"), len(data) - 1))
+    if draw(st.booleans()):
+        return bytes(data[:offset])
+    data[offset] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestOutputsFile:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_damaged_outputs_file())
+    def test_damaged_file_is_rejected_or_valid(self, tmp_path, data):
+        """A damaged outputs file raises ValueError naming it, or loads as
+        finite float64 arrays of the shapes load_outputs checks; no other
+        exception escapes."""
+        path = tmp_path / "o.npz"
+        path.write_bytes(data)
+        try:
+            out = load_outputs(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        arrays = [out.p_start, out.p_end, out.p_cls, out.p_reg]
+        assert all(a.dtype == np.float64 and np.isfinite(a).all()
+                   for a in arrays)
+        (t,) = out.p_start.shape
+        d = out.p_cls.shape[0]
+        assert out.p_end.shape == (t,) and 1 <= d <= t
+        assert out.p_cls.shape == out.p_reg.shape == (d, t)
 
 
 class TestClassScores:

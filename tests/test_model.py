@@ -575,6 +575,23 @@ class TestModelIO:
         np.testing.assert_array_equal(back.p_cls,
                                       out.p_cls.astype(dtype))
 
+    @pytest.mark.parametrize("offset, value, message", [
+        (6, 64, "zip file version 6.4"), (8, 1, "is encrypted")],
+        ids=["NotImplementedError", "RuntimeError"])
+    def test_outputs_zipfile_cannot_open_rejected(self, tmp_path, offset,
+                                                  value, message):
+        """zipfile raises NotImplementedError for an entry that needs zip
+        version 6.4 and RuntimeError for an encrypted one; both are
+        unreadable outputs. The byte changed is the first central-directory
+        entry's version-needed (offset 6) or flag (offset 8) field."""
+        path, _ = self._outputs_with(tmp_path, "p_cls", lambda a: a)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"PK\x01\x02") + offset] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"o\.npz: unreadable network "
+                                             rf"outputs: .*{message}"):
+            load_outputs(path)
+
     @pytest.mark.parametrize("field", ["p_start", "p_cls"])
     @pytest.mark.parametrize("convert", [
         lambda a: a + 1j,

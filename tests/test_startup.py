@@ -3,8 +3,9 @@
 Each ``tadkit`` command runs as its own short process, so its start-up is
 part of its cost. ``import tadkit`` is lazy, and under ``python -m
 tadkit.cli`` each command imports only the modules it calls: the eval
-commands never load the network, ``train`` never loads post-processing or
-the metrics, and no command loads the thread pool at ``--threads 1``.
+commands and ``ensemble`` never load the network, ``train`` never loads
+post-processing or the metrics, and no command loads the thread pool at
+``--threads 1``.
 These tests run every command that way on a tiny synthetic run, under
 ``-X importtime``, and read the modules it imported from its report.
 
@@ -86,6 +87,10 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
 def test_eval_commands_load_no_network(loaded, command):
     assert not {"tadkit.model", "tadkit.preprocess",
                 "tadkit.proposals"} & loaded[command]
+
+
+def test_ensemble_loads_no_network(loaded):
+    assert not {"tadkit.model", "tadkit.preprocess"} & loaded["ensemble"]
 
 
 def test_train_loads_no_postprocessing(loaded):
