@@ -15,8 +15,10 @@ Conventions used across the package:
 * Feature files are binary, little-endian: magic ``CPNF``, u32 version=1,
   u32 T, u32 C, then T*C IEEE-754 float32 values, time-major.
 * Network outputs are one ``.npz`` archive per video, keys ``p_start`` and
-  ``p_end`` (T,), ``p_cls`` and ``p_reg`` (D, T) with D <= T; any real
-  float dtype is loaded as float64.
+  ``p_end`` (T,), ``p_cls`` and ``p_reg`` (D, T) with D <= T, written in
+  the bytes of ``np.savez``. Archives from ``np.savez`` and
+  ``np.savez_compressed`` load (stored or deflated entries, ZIP64 extras,
+  each CRC-32 checked), any real float dtype as float64; all else is refused.
 * Class scores are JSON: ``{"<video_id>": [{"label": ..., "score": ...}]}``
   with scores sorted non-increasing and labels unique per video.
 * Every JSON artifact (annotations, class scores, run config, proposals,
@@ -35,11 +37,13 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
 import struct
 import typing
-import zipfile
+import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -394,46 +398,122 @@ class NetworkOutputs:
                 raise ValueError(f"{where}: network output {f.name} is not "
                                  f"finite")
 
+    def validated(self, where: str) -> NetworkOutputs:
+        """These outputs as float64 copies, or ValueError starting with where
+        for a field not of a real float dtype, vectors not of one (T,) shape,
+        maps not of one (D, T) shape with D <= T, or a non-finite float64."""
+        for f in fields(self):
+            if (dtype := getattr(self, f.name).dtype).kind != "f":
+                raise ValueError(f"{where}: network output {f.name} must be "
+                                 f"a real floating-point array, got {dtype}")
+        out = NetworkOutputs(*(getattr(self, f.name).astype(np.float64)
+                               for f in fields(self)))
+        t = out.p_start.shape
+        if len(t) != 1 or out.p_end.shape != t:
+            raise ValueError(f"{where}: p_start and p_end must share one (T,) "
+                             f"shape, got {t} and {out.p_end.shape}")
+        d = out.p_cls.shape
+        if len(d) != 2 or d[1:] != t or not 1 <= d[0] <= t[0] \
+                or out.p_reg.shape != d:
+            raise ValueError(f"{where}: p_cls and p_reg must share one (D, T) "
+                             f"shape with D <= T = {t[0]}, got {d} and "
+                             f"{out.p_reg.shape}")
+        out.check_finite(where)
+        return out
 
-def save_outputs(outputs: NetworkOutputs, path: str | Path) -> None:
-    """Serialize one video's network outputs as an .npz archive."""
-    np.savez(path, p_start=outputs.p_start, p_end=outputs.p_end,
-             p_cls=outputs.p_cls, p_reg=outputs.p_reg)
+
+_LOCAL, _CENTRAL, _END = map(struct.Struct, (  # zip records, signature first
+    "<4s5H3L2H", "<4s6H3L5H2L", "<4s4H2LH"))
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(head: bytes) -> tuple[tuple, bool, np.dtype]:
+    """(shape, fortran_order, dtype) of a .npy header, read with np.load's
+    checks once per distinct header. Version 3 is 2 with a UTF-8 header."""
+    fp = io.BytesIO(head)
+    if (version := np.lib.format.read_magic(fp)) not in ((1, 0), (2, 0),
+                                                         (3, 0)):
+        raise ValueError(f"unsupported .npy version {version}")
+    return (np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)(fp)
+
+
+def _npy_entry(data: memoryview, central: dict, name: str) -> np.ndarray:
+    """The array in the archive entry name, stored or deflated, CRC-checked."""
+    entry = central.get(name.encode())
+    if entry is None or entry[0] != b"PK\x01\x02":
+        raise ValueError(f"no {name} in the central directory")
+    _, _, needed, flags, method, _, _, crc, size, full, *_, at = entry
+    if needed > 63 or method not in (0, 8) or flags & 0x61:  # bit 0: encrypted
+        raise ValueError(f"{name} is encrypted" if flags & 1 else f"{name}: "
+                         f"unsupported zip file version {needed / 10:.1f}, "
+                         f"method {method} or flags {flags:#x}")
+    sig, *_, name_size, extra_size = _LOCAL.unpack_from(data, at)
+    at += _LOCAL.size + name_size
+    if sig != b"PK\x03\x04" or data[at - name_size:at] != name.encode():
+        raise ValueError(f"{name}: bad local header")
+    npy = data[at + extra_size:at + extra_size + size]
+    if method == 8:  # deflated, as np.savez_compressed writes
+        npy = memoryview(zlib.decompressobj(-15).decompress(npy, full + 1))
+    if len(npy) != full or zlib.crc32(npy) != crc:
+        raise ValueError(f"{name}: truncated, or bad CRC-32")
+    width = 2 if npy[6:7] == b"\x01" else 4
+    start = 8 + width + int.from_bytes(npy[8:8 + width], "little")
+    shape, fortran, dtype = _npy_header(bytes(npy[:start]))
+    if len(npy) - start != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"{name}: payload is not {shape} of {dtype}")
+    return np.frombuffer(npy[start:], dtype).reshape(
+        shape, order="F" if fortran else "C")
+
+
+def save_outputs(outputs: NetworkOutputs,
+                 file: str | Path | typing.BinaryIO) -> None:
+    """Write one video's network outputs, in the bytes that np.savez writes,
+    to file: a path, written as given, or a binary file object. Raises
+    ValueError, before it writes, for outputs that load_outputs refuses."""
+    arrays = [np.asarray(getattr(outputs, f.name)) for f in fields(outputs)]
+    NetworkOutputs(*arrays).validated(str(file))
+    local, central, at = [], [], 0
+    for f, a in zip(fields(outputs), arrays):
+        name, buf = f"{f.name}.npy".encode(), io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, header := np.lib.format.header_data_from_array_1_0(a))
+        head = buf.getvalue()
+        body = a.T if header["fortran_order"] else np.ascontiguousarray(a)
+        size, crc = len(head) + a.nbytes, zlib.crc32(body, zlib.crc32(head))
+        local += [_LOCAL.pack(b"PK\x03\x04", 45, 0, 0, 0, 0x21, crc,
+                              0xFFFFFFFF, 0xFFFFFFFF, len(name), 20),
+                  name, struct.pack("<2H2Q", 1, 16, size, size), head, body]
+        central += [_CENTRAL.pack(b"PK\x01\x02", 813, 45, 0, 0, 0, 0x21, crc,
+                                  size, size, len(name), 0, 0, 0, 0,
+                                  0o600 << 16, at), name]
+        at += _LOCAL.size + len(name) + 20 + size
+    (file.write if hasattr(file, "write") else Path(file).write_bytes)(
+        b"".join([*local, *central, _END.pack(
+            b"PK\x05\x06", 0, 0, 4, 4, sum(map(len, central)), at, 0)]))
 
 
 def load_outputs(path: str | Path) -> NetworkOutputs:
-    """Read one video's network outputs, as written by save_outputs.
-
-    Raises ValueError naming the file when the archive is unreadable, a
-    field is missing or not a real floating-point array, the boundary
-    vectors are not one (T,) shape, the maps not one (D, T) shape with
-    D <= T, or a value is not finite.
-    """
+    """Read one video's network outputs from an archive that save_outputs,
+    np.savez or np.savez_compressed wrote; raises ValueError naming the
+    file when the archive is unreadable or validated refuses its arrays."""
     try:
-        # Opened here: np.load leaks a file it opens on a corrupt archive.
-        with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = [data[f.name] for f in fields(NetworkOutputs)]
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
-            RuntimeError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable network outputs: {exc}") \
-            from exc
-    for f, arr in zip(fields(NetworkOutputs), arrays):
-        if arr.dtype.kind != "f":
-            raise ValueError(f"{path}: network output {f.name} must be a "
-                             f"real floating-point array, got {arr.dtype}")
-    out = NetworkOutputs(*(a.astype(np.float64, copy=False) for a in arrays))
-    t = out.p_start.shape
-    if len(t) != 1 or out.p_end.shape != t:
-        raise ValueError(f"{path}: p_start and p_end must share one (T,) "
-                         f"shape, got {t} and {out.p_end.shape}")
-    d = out.p_cls.shape
-    if len(d) != 2 or d[1:] != t or not 1 <= d[0] <= t[0] \
-            or out.p_reg.shape != d:
-        raise ValueError(f"{path}: p_cls and p_reg must share one (D, T) "
-                         f"shape with D <= T = {t[0]}, got {d} and "
-                         f"{out.p_reg.shape}")
-    out.check_finite(str(path))
-    return out
+        data = memoryview(Path(path).read_bytes())
+        end = len(data) - _END.size
+        sig, *_, size, at, _ = _END.unpack_from(data, end)
+        if sig != b"PK\x05\x06" or at + size != end:
+            raise ValueError("no end record after the central directory")
+        central = {}
+        while at < end:
+            entry = _CENTRAL.unpack_from(data[:end], at)
+            name_at = at + _CENTRAL.size
+            central[bytes(data[name_at:name_at + entry[10]])] = entry
+            at = name_at + entry[10] + entry[11] + entry[12]
+        arrays = [_npy_entry(data, central, f"{f.name}.npy")
+                  for f in fields(NetworkOutputs)]
+    except (OSError, ValueError, struct.error, zlib.error) as exc:
+        raise ValueError(f"{path}: unreadable network outputs: {exc}") from exc
+    return NetworkOutputs(*arrays).validated(str(path))
 
 
 @dataclass

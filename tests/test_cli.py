@@ -24,8 +24,7 @@ from tadkit.cli import main
 from tadkit.config import (MODEL_KEYS, ConfigError, RunConfig,
                            load_run_config, run_config_from_dict)
 from tadkit.dataio import load_annotations, load_features, save_features
-from tadkit.model import (ModelConfig, load_model, load_outputs, save_model,
-                          save_outputs)
+from tadkit.model import ModelConfig, load_model, load_outputs, save_model
 from tadkit.postprocess import load_detections, load_proposals
 from tadkit.preprocess import epoch_list
 from tadkit.proposals import SamplingMatrix
@@ -640,7 +639,7 @@ class TestPipeline:
         for src in sorted((pipeline / "out" / "outputs").glob("*.npz")):
             out = load_outputs(src)
             out.p_reg[0, 0] = np.inf
-            save_outputs(out, member / src.name)
+            np.savez(member / src.name, **vars(out))  # save_outputs refuses
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
             sections={"ensemble": {"inputs": [
@@ -661,7 +660,7 @@ class TestPipeline:
             out = load_outputs(src)
             if src == srcs[-1]:
                 out.p_cls[0, 0] = np.nan
-            save_outputs(out, member / src.name)
+            np.savez(member / src.name, **vars(out))  # save_outputs refuses
         err = self._command_error(
             pipeline, tmp_path, capsys, command="ensemble",
             sections={"ensemble": {"inputs": [str(member)]}})

@@ -230,14 +230,33 @@ def _damaged_outputs_file(draw) -> bytes:
     return bytes(data)
 
 
+def _arrays(out: NetworkOutputs) -> list[np.ndarray]:
+    return [out.p_start, out.p_end, out.p_cls, out.p_reg]
+
+
+@st.composite
+def _network_outputs(draw) -> NetworkOutputs:
+    """Outputs of one real float dtype, T in [1, 300], which crosses the
+    widths at which the .npy header padding changes, and D in [1, T]; each
+    map is in C or Fortran order."""
+    dtype = draw(st.sampled_from(["<f2", "<f4", "<f8", ">f8"]))
+    t = draw(st.integers(1, 300))
+    d = draw(st.integers(1, t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = [np.asarray(rng.random((d, t)), order=draw(st.sampled_from("CF")))
+            for _ in range(2)]
+    return NetworkOutputs(*(a.astype(dtype, order="K")
+                            for a in [rng.random(t), rng.random(t), *maps]))
+
+
 class TestOutputsFile:
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=_damaged_outputs_file())
     def test_damaged_file_is_rejected_or_valid(self, tmp_path, data):
         """A damaged outputs file raises ValueError naming it, or loads as
-        finite float64 arrays of the shapes load_outputs checks; no other
-        exception escapes."""
+        finite float64 arrays of the shapes load_outputs checks, equal to
+        the undamaged file's; no other exception escapes."""
         path = tmp_path / "o.npz"
         path.write_bytes(data)
         try:
@@ -252,6 +271,78 @@ class TestOutputsFile:
         d = out.p_cls.shape[0]
         assert out.p_end.shape == (t,) and 1 <= d <= t
         assert out.p_cls.shape == out.p_reg.shape == (d, t)
+        path.write_bytes(_OUTPUTS_FILE)
+        for a, b in zip(arrays, _arrays(load_outputs(path))):
+            np.testing.assert_array_equal(a, b)
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(out=_network_outputs())
+    def test_bytes_are_those_of_np_savez(self, tmp_path, out):
+        """save_outputs writes np.savez's bytes, to a path as to a file
+        object, and they load back as the arrays, as float64."""
+        expected = io.BytesIO()
+        np.savez(expected, **vars(out))
+        buf, path = io.BytesIO(), tmp_path / "o.npz"
+        save_outputs(out, buf)
+        save_outputs(out, path)
+        assert buf.getvalue() == path.read_bytes() == expected.getvalue()
+        for a, b in zip(_arrays(out), _arrays(load_outputs(path))):
+            assert b.dtype == np.float64 and b.flags.writeable
+            np.testing.assert_array_equal(a, b)
+
+    def test_np_savez_compressed_file_loads(self, tmp_path):
+        rng = np.random.default_rng(2)
+        out = NetworkOutputs(rng.random(9), rng.random(9),
+                             rng.random((4, 9)), rng.random((4, 9)))
+        path = tmp_path / "o.npz"
+        np.savez_compressed(path, **vars(out))
+        for a, b in zip(_arrays(out), _arrays(load_outputs(path))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_path_is_written_as_given(self, tmp_path):
+        """np.savez appends .npz to any other name; save_outputs does not."""
+        rng = np.random.default_rng(3)
+        out = NetworkOutputs(rng.random(5), rng.random(5),
+                             rng.random((5, 5)), rng.random((5, 5)))
+        path = tmp_path / "video.out"
+        save_outputs(out, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["video.out"]
+        for a, b in zip(_arrays(out), _arrays(load_outputs(path))):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_cls", lambda a: a.astype(np.int64), "p_cls must be a real"),
+        ("p_start", lambda a: a + 0j, "p_start must be a real"),
+        ("p_end", lambda a: a > 0.5, "p_end must be a real"),
+        ("p_end", lambda a: a[:-1], r"p_start and p_end must share one \(T,\)"),
+        ("p_start", lambda a: a[:, None], r"share one \(T,\) shape"),
+        ("p_reg", lambda a: a[:-1], r"must share one \(D, T\) shape"),
+        ("p_cls", lambda a: a[:, :-1], r"must share one \(D, T\) shape"),
+        ("p_cls", lambda a: np.full((7, 6), 0.5), "with D <= T = 6"),
+        ("p_reg", lambda a: np.where(a > 0.5, np.nan, a), "p_reg is not finite"),
+        ("p_start", lambda a: np.full_like(a, np.inf), "p_start is not finite"),
+        ("p_cls", lambda a: np.full(a.shape, 1e300, np.longdouble) ** 2,
+         "p_cls is not finite"),
+    ], ids=["int", "complex", "bool", "vector_length", "vector_rank",
+            "map_rows", "map_columns", "map_taller_than_wide", "nan", "inf",
+            "finite_only_as_longdouble"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_what_load_refuses_is_not_written(self, tmp_path, field, value,
+                                             message):
+        """save_outputs refuses, with load_outputs' message and before it
+        writes a byte, every case that load_outputs refuses."""
+        rng = np.random.default_rng(4)
+        out = NetworkOutputs(rng.random(6), rng.random(6),
+                             rng.random((6, 6)), rng.random((6, 6)))
+        setattr(out, field, value(getattr(out, field)))
+        path = tmp_path / "o.npz"
+        with pytest.raises(ValueError, match=rf"o\.npz: .*{message}"):
+            save_outputs(out, path)
+        assert not path.exists()
+        np.savez(path, **vars(out))
+        with pytest.raises(ValueError, match=rf"o\.npz: .*{message}"):
+            load_outputs(path)
 
 
 class TestClassScores:

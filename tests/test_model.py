@@ -580,10 +580,11 @@ class TestModelIO:
         ids=["NotImplementedError", "RuntimeError"])
     def test_outputs_zipfile_cannot_open_rejected(self, tmp_path, offset,
                                                   value, message):
-        """zipfile raises NotImplementedError for an entry that needs zip
-        version 6.4 and RuntimeError for an encrypted one; both are
-        unreadable outputs. The byte changed is the first central-directory
-        entry's version-needed (offset 6) or flag (offset 8) field."""
+        """zipfile refuses an entry that needs zip version 6.4
+        (NotImplementedError) and an encrypted one (RuntimeError); so does
+        load_outputs, as unreadable outputs. The byte changed is the first
+        central-directory entry's version-needed (offset 6) or flag (offset
+        8) field."""
         path, _ = self._outputs_with(tmp_path, "p_cls", lambda a: a)
         data = bytearray(path.read_bytes())
         data[data.index(b"PK\x01\x02") + offset] = value

@@ -13,6 +13,7 @@ A second test runs ``train`` and ``infer`` with one and with two BLAS
 threads and requires the same bytes from both.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -123,6 +124,21 @@ def test_every_public_name_resolves_to_its_defining_module():
     assert set(tadkit.__all__) <= set(dir(tadkit))
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(tadkit, "no_such_name")
+
+
+def test_outputs_codec_uses_no_np_savez_np_load_or_zipfile():
+    """dataio reads and writes the .npz outputs itself with struct and
+    zlib; np.savez, np.load and zipfile are the slower path it replaced."""
+    tree = ast.parse((SRC / "tadkit" / "dataio.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            assert not node.attr.startswith(("savez", "load")), node.attr
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module",
+                                                           None)]
+            assert "zipfile" not in names, ast.unparse(node)
 
 
 def _artifacts(out: Path) -> dict[str, bytes]:
