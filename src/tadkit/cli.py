@@ -236,11 +236,8 @@ def cmd_eval_proposals(rc: RunConfig, args: argparse.Namespace) -> int:
            "ar": [float(r) for r in curve.ar],
            "ar_at_max": float(curve.ar[-1])}
     if rc.eval.an_max == metrics.DEFAULT_AN_MAX:
-        auc_value = metrics.auc(curve)
-        doc["auc"] = auc_value
-        print(metrics.format_ar_report(curve, auc_value))
-    else:
-        print(metrics.format_ar_report(curve, float("nan")))
+        doc["auc"] = metrics.auc(curve)
+    print(metrics.format_ar_report(curve, doc.get("auc")))
     dataio.write_json(doc, out / "proposal_report.json")
     return 0
 

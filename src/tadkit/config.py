@@ -128,16 +128,15 @@ class ModelConfig:
 
 @dataclass
 class PreprocessConfig:
+    """One setting per training-data strategy, each off at theta_long 1,
+    repeat_factor 1, resize_lo = resize_hi = 1 and shift_fraction 0."""
+
     theta_long: float = 0.98
     theta_short: float = 0.05
     repeat_factor: int = 2
-    resize_lo: float = 0.8
-    resize_hi: float = 1.25
-    shift_fraction: float = 0.125
-    enable_remove_long: bool = True
-    enable_resample_short: bool = True
-    enable_resize: bool = False
-    enable_shift: bool = False
+    resize_lo: float = 1.0
+    resize_hi: float = 1.0
+    shift_fraction: float = 0.0
 
     def validate(self) -> None:
         def check(ok: bool, key: str, bound: str) -> None:

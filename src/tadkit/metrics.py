@@ -201,12 +201,15 @@ def average_map(dets: dict[str, list[Detection]],
 _AN_TICKS = (1, 5, 10, 20, 50, 100)
 
 
-def format_ar_report(curve: ARCurve, auc_value: float) -> str:
+def format_ar_report(curve: ARCurve, auc_value: float | None) -> str:
+    """The AR table at the AN ticks the curve reaches, then the AUC line
+    unless auc_value is None (the AUC needs the AN grid 1..100)."""
     lines = ["  AN      AR", "  --  ------"]
     for an in _AN_TICKS:
         if an <= len(curve.ar):
             lines.append(f" {an:3d}  {curve.ar[an - 1]:.4f}")
-    lines.append(f"AUC   {auc_value:.2f}")
+    if auc_value is not None:
+        lines.append(f"AUC   {auc_value:.2f}")
     return "\n".join(lines)
 
 

@@ -592,15 +592,16 @@ def prepare_sample(video_id: str, anns: AnnotationSet,
                    features: dict[str, np.ndarray], cfg: ModelConfig,
                    pp: PreprocessConfig, rng: np.random.Generator
                    ) -> TrainSample:
-    """Rescale one video to the model scale and build its targets; applies
-    the resize/shift augmentations with probability 0.5 each when enabled."""
+    """Rescale one video to the model scale and build its targets; resize
+    and shift each apply with probability 0.5, and neither draws from rng
+    at its neutral setting (resize range (1, 1), shift_fraction 0)."""
     ann = anns[video_id]
     feats = features[video_id]
-    if pp.enable_resize and ann.instances and rng.random() < 0.5:
-        feats, ann = resize_instance(feats, ann, rng,
-                                     (pp.resize_lo, pp.resize_hi))
+    resize = (pp.resize_lo, pp.resize_hi)
+    if resize != (1, 1) and ann.instances and rng.random() < 0.5:
+        feats, ann = resize_instance(feats, ann, rng, resize)
     seq = rescale_features(feats, cfg.t_scale)
-    if pp.enable_shift and rng.random() < 0.5:
+    if pp.shift_fraction > 0 and rng.random() < 0.5:
         seq = temporal_shift(seq, pp.shift_fraction)
     return TrainSample(np.ascontiguousarray(seq.T),
                        boundary_labels(ann, cfg.t_scale),
@@ -659,24 +660,30 @@ def train(anns: AnnotationSet, features: dict[str, np.ndarray],
 def save_model(path: str | Path, cfg: ModelConfig,
                params: dict[str, np.ndarray]) -> None:
     """Binary model file: magic, version, config JSON blob, then tensors in
-    declaration order (u32 rank, u32 dims, float64 payload)."""
+    declaration order (u32 rank, u32 dims, float64 payload). Raises
+    ModelIOError, and writes nothing, for a file that load_model refuses."""
     blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(blob)), blob]
-    for name, shape, _ in _param_specs(cfg):
+    for name, _, _ in _param_specs(cfg):
         arr = np.ascontiguousarray(params[name], dtype="<f8")
-        if arr.shape != shape:
-            raise ModelIOError(f"parameter {name}: shape {arr.shape} does "
-                               f"not match config ({shape})")
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    data = b"".join(chunks)
+    _parse_model(path, data)
+    Path(path).write_bytes(data)
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != MODEL_MAGIC:
+    return _parse_model(path, Path(path).read_bytes())
+
+
+def _parse_model(path: str | Path, data: bytes
+                 ) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    if data[:4] != MODEL_MAGIC[:len(data)]:
         raise ModelIOError(f"{path}: bad magic")
+    if len(data) < 12:
+        raise ModelIOError(f"{path}: truncated in its 12-byte header")
     version, blob_len = struct.unpack_from("<II", data, 4)
     if version != MODEL_VERSION:
         raise ModelIOError(f"{path}: unsupported version {version}")
@@ -698,8 +705,8 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             offset += 4 * rank
             if dims != shape:
                 raise ModelIOError(
-                    f"{path}: parameter {name}: stored shape {dims} does "
-                    f"not match config ({shape})")
+                    f"{path}: parameter {name}: shape {dims} does not "
+                    f"match config ({shape})")
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         except (struct.error, ValueError) as exc:

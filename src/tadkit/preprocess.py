@@ -78,14 +78,10 @@ def resample_short(anns: AnnotationSet, theta_short: float = 0.05,
 
 def epoch_list(anns: AnnotationSet, pp: PreprocessConfig
                ) -> tuple[AnnotationSet, list[str]]:
-    """The annotations that training reads, after remove_long_coverage when
-    enabled, and its epoch list of video ids: resample_short's when enabled,
-    else each remaining training video once, in input order."""
-    kept = remove_long_coverage(anns, pp.theta_long) \
-        if pp.enable_remove_long else anns
-    if pp.enable_resample_short:
-        return kept, resample_short(kept, pp.theta_short, pp.repeat_factor)
-    return kept, [a.video_id for a in kept if a.subset == "training"]
+    """The annotations that training reads, after remove_long_coverage, and
+    its epoch list of video ids from resample_short."""
+    kept = remove_long_coverage(anns, pp.theta_long)
+    return kept, resample_short(kept, pp.theta_short, pp.repeat_factor)
 
 
 def resize_instance_at(features: np.ndarray, ann: VideoAnnotation,

@@ -102,10 +102,31 @@ class TestRunConfig:
 
     def test_preprocess_resize_bounds_are_scalars(self):
         rc = run_config_from_dict(
-            {"preprocess": {"resize_lo": 0.9, "resize_hi": 1.1,
-                            "enable_resize": True}})
+            {"preprocess": {"resize_lo": 0.9, "resize_hi": 1.1}})
         assert (rc.preprocess.resize_lo, rc.preprocess.resize_hi) == (0.9, 1.1)
-        assert rc.preprocess.enable_resize
+
+    @pytest.mark.parametrize("key", ["enable_remove_long",
+                                     "enable_resample_short",
+                                     "enable_resize", "enable_shift"])
+    def test_preprocess_switch_keys_rejected(self, key):
+        """Each strategy is off at its neutral value, so there is no
+        on/off key."""
+        with pytest.raises(ConfigError,
+                           match=f"^unknown config key: preprocess.{key}$"):
+            run_config_from_dict({"preprocess": {key: False}})
+
+    def test_readme_quick_start_config_parses(self):
+        """The README's quick-start run.json parses, and its preprocess
+        section names every preprocessing setting at its default."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"cat > run\.json <<'EOF'\n(.*?)\nEOF\n",
+                          readme.read_text(), re.S)
+        raw = json.loads(block.group(1))
+        rc = run_config_from_dict(raw)
+        assert rc.seed == raw["seed"]
+        assert set(raw["preprocess"]) == set(
+            typing.get_type_hints(config.PreprocessConfig))
+        assert rc.preprocess == config.PreprocessConfig()
 
     def test_preprocess_rejects_internal_field_name(self):
         with pytest.raises(ConfigError, match="preprocess"):
@@ -434,6 +455,20 @@ class TestPipeline:
         assert len(det_report["map_per_threshold"]) == 10
         assert 0.0 <= det_report["average_map"] <= 1.0
 
+    def test_eval_proposals_off_the_auc_grid_prints_no_nan(self, pipeline,
+                                                           capsys):
+        """At an_max 20 there is no AUC: the table stops at AN 20, and
+        neither stdout nor the report has an AUC."""
+        capsys.readouterr()
+        assert main(["eval-proposals", "--config",
+                     str(pipeline / "run.json")]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out.lower() and "AUC" not in out
+        assert out.splitlines()[-1].startswith("  20  ")
+        report = json.loads(
+            (pipeline / "out" / "proposal_report.json").read_text())
+        assert "auc" not in report
+
     def test_ensemble_of_self_matches_single_model(self, pipeline):
         root = pipeline
         cfg = json.loads((root / "run.json").read_text())
@@ -730,8 +765,7 @@ class TestPipeline:
                                                   capsys):
         err = self._command_error(
             pipeline, tmp_path, capsys, command="train",
-            sections={"preprocess": {"enable_resize": True,
-                                     "resize_hi": math.inf}})
+            sections={"preprocess": {"resize_hi": math.inf}})
         assert "preprocess.resize_hi" in err
         assert not (tmp_path / "bad" / "model.cpnm").exists()
 

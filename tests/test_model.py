@@ -412,7 +412,8 @@ class TestTrain:
     def test_augmentations_keep_training_finite(self):
         anns, feats = toy_dataset(seed=4)
         cfg = tiny_config(epochs=1)
-        pp = PreprocessConfig(enable_resize=True, enable_shift=True)
+        pp = PreprocessConfig(resize_lo=0.8, resize_hi=1.25,
+                              shift_fraction=0.125)
         _, history = train(anns, feats, cfg, pp)
         assert np.isfinite(history[0]["mean_loss"])
 
@@ -492,6 +493,16 @@ class TestModelIO:
         with pytest.raises(ModelIOError):
             load_model(path)
 
+    @pytest.mark.parametrize("size", [0, 2, 4, 11])
+    def test_truncated_header_is_not_bad_magic(self, tmp_path, size):
+        cfg = tiny_config()
+        path = tmp_path / "m.cpnm"
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ModelIOError,
+                           match=r"m\.cpnm: truncated in its 12-byte header"):
+            load_model(path)
+
     def test_truncation_rejected(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(0))
@@ -511,13 +522,12 @@ class TestModelIO:
             load_model(path)
 
     def test_invalid_config_rejected(self, tmp_path):
-        # a file that is consistent with its own config, but the config
-        # (even kernel size) is one the network cannot run
-        cfg = tiny_config(kernel_size=2)
-        params = {name: np.zeros(shape)
-                  for name, shape, _ in _param_specs(cfg)}
+        # a config (even kernel size) that the network cannot run is
+        # refused before any parameter is read
+        cfg = tiny_config()
         path = tmp_path / "m.cpnm"
-        save_model(path, cfg, params)
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        self._with_blob(path, {**asdict(cfg), "kernel_size": 2})
         with pytest.raises(ModelIOError, match=r"m\.cpnm.*kernel_size"):
             load_model(path)
 
@@ -529,22 +539,50 @@ class TestModelIO:
         ("lambda_cls", -1.0), ("lambda_reg", np.nan), ("lambda_reg", -1.0),
     ])
     def test_invalid_training_value_rejected(self, tmp_path, key, value):
-        cfg = tiny_config(**{key: value})
-        params = {name: np.zeros(shape)
-                  for name, shape, _ in _param_specs(cfg)}
+        cfg = tiny_config()
         path = tmp_path / "m.cpnm"
-        save_model(path, cfg, params)
+        save_model(path, cfg, init_params(cfg, np.random.default_rng(0)))
+        self._with_blob(path, {**asdict(cfg), key: value})
         with pytest.raises(ModelIOError, match=rf"m\.cpnm.*{key}"):
             load_model(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(0))
-        params["cls_b"][...] = np.nan
+        marker = np.float64(0.8125).tobytes()
+        params["cls_b"][...] = 0.8125
         path = tmp_path / "m.cpnm"
         save_model(path, cfg, params)
+        data = path.read_bytes()
+        assert data.count(marker) == 1
+        path.write_bytes(data.replace(marker, np.float64(np.nan).tobytes()))
         with pytest.raises(ModelIOError, match=r"m\.cpnm.*cls_b"):
             load_model(path)
+
+    @pytest.mark.parametrize("cfg_kw, param, value, message", [
+        ({"kernel_size": 2}, None, None, "kernel_size"),
+        ({"learning_rate": np.nan}, None, None, "learning_rate"),
+        ({}, "cls_b", np.array([np.nan]), "cls_b is not finite"),
+        ({}, "pem_b", np.zeros(3), r"pem_b: shape \(3,\)"),
+    ], ids=["even-kernel", "nan-learning-rate", "nan-parameter",
+            "wrong-shape"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, cfg_kw, param,
+                                            value, message):
+        """save_model raises before writing, so no file is left, and an
+        existing file is kept as it was."""
+        cfg = tiny_config(**cfg_kw)
+        params = {name: np.full(shape, 0.5)
+                  for name, shape, _ in _param_specs(cfg)}
+        if param:
+            params[param] = value
+        path = tmp_path / "m.cpnm"
+        with pytest.raises(ModelIOError, match=rf"m\.cpnm.*{message}"):
+            save_model(path, cfg, params)
+        assert not path.exists()
+        path.write_bytes(b"earlier")
+        with pytest.raises(ModelIOError):
+            save_model(path, cfg, params)
+        assert path.read_bytes() == b"earlier"
 
     def test_outputs_roundtrip(self, tmp_path):
         cfg = tiny_config()

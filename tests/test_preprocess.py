@@ -1,10 +1,16 @@
 """Tests for the four training-data strategies: long-coverage removal, short
 instance resampling, instance resize, and temporal channel shift."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tadkit.config import ModelConfig
 from tadkit.dataio import AnnotationSet, Instance, VideoAnnotation
+from tadkit.model import prepare_sample
 from tadkit.preprocess import (PreprocessConfig, epoch_list,
                                instance_coverage, interval_union_length,
                                remove_long_coverage, resample_short,
@@ -127,14 +133,75 @@ class TestEpochList:
                         video("short", 100.0, [(0.0, 1.0)]),
                         video("plain", 100.0, [(0.0, 50.0)]),
                         video("val", 10.0, [(0.0, 10.0)], subset="validation"))
-        pp = PreprocessConfig(enable_remove_long=remove_long,
-                              enable_resample_short=resample)
+        # theta_long 1 keeps every video; repeat_factor 1 repeats none
+        pp = PreprocessConfig(theta_long=0.98 if remove_long else 1.0,
+                              repeat_factor=2 if resample else 1)
         kept, epoch = epoch_list(anns, pp)
         assert list(kept.videos) == (["short", "plain", "val"] if remove_long
                                      else ["full", "short", "plain", "val"])
         head = [] if remove_long else ["full"]
         assert epoch == head + (["short", "short", "plain"] if resample
                                 else ["short", "plain"])
+
+
+@st.composite
+def _annotation_sets(draw):
+    """One to five videos, each covered by instances that touch or are one
+    ulp apart; the cut points are drawn anywhere in the video, so many
+    videos are covered from 0 to their full duration."""
+    videos = {}
+    for k in range(draw(st.integers(1, 5))):
+        duration = draw(st.floats(0.5, 1000.0))
+        cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                       exclude_max=True), max_size=6))
+        points = [0.0] + sorted(c * duration for c in cuts) + [duration]
+        instances = []
+        for s, e in zip(points, points[1:]):
+            if draw(st.booleans()):
+                s = math.nextafter(s, math.inf)
+            if s < e:
+                instances.append(Instance(s, e, "a"))
+        subset = draw(st.sampled_from(["training", "validation"]))
+        videos[f"v{k}"] = VideoAnnotation(f"v{k}", duration, subset,
+                                          draw(st.permutations(instances)))
+        videos[f"v{k}"].validate()
+    return AnnotationSet(videos)
+
+
+class TestNeutralSettings:
+    """theta_long 1, repeat_factor 1, a (1, 1) resize range and
+    shift_fraction 0 each turn their strategy off."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(anns=_annotation_sets(), theta_short=st.floats(0.0, 2.0))
+    def test_neutral_epoch_list_is_every_training_video_once(
+            self, anns, theta_short):
+        assert all(instance_coverage(a) <= 1.0 for a in anns)
+        kept = remove_long_coverage(anns, 1.0)
+        assert list(kept.videos) == list(anns.videos)
+        assert all(kept[v] is anns[v] for v in anns.videos)
+        training = [a.video_id for a in anns if a.subset == "training"]
+        assert resample_short(anns, theta_short, 1) == training
+        pp = PreprocessConfig(theta_long=1.0, theta_short=theta_short,
+                              repeat_factor=1)
+        kept, epoch = epoch_list(anns, pp)
+        assert list(kept.videos) == list(anns.videos) and epoch == training
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(anns=_annotation_sets(), seed=st.integers(0, 2**32 - 1),
+           t_raw=st.integers(1, 20))
+    def test_neutral_augmentations_draw_nothing(self, anns, seed, t_raw):
+        cfg = ModelConfig(c_in=3, c_h=2, t_scale=8, d_max=8, n_samples=2)
+        feats = {v: np.random.default_rng(seed).normal(size=(t_raw, 3))
+                 for v in anns.videos}
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        for vid in anns.videos:
+            prepare_sample(vid, anns, feats, cfg, PreprocessConfig(), rng)
+        assert rng.bit_generator.state == state
+        prepare_sample(next(iter(anns.videos)), anns, feats, cfg,
+                       PreprocessConfig(shift_fraction=0.125), rng)
+        assert rng.bit_generator.state != state
 
 
 class TestResizeInstance:
