@@ -25,7 +25,10 @@ assert grid.n_valid == 8 * 9 // 2
 
 # --- sampling ---------------------------------------------------------------
 sm = build_sampling_matrix(t_scale=8, d_max=8, n_samples=4, expansion=0.25)
-left, right, w_left, w_right = sm.taps()               # each (cells, N)
+# sample point n of valid cell c reads positions i0 and i0 + 1 with weights
+# 1 - frac and frac when it is in range; out-of-range points read nothing
+w_left = np.where(sm.in_range, 1.0 - sm.frac, 0.0)    # each (cells, N)
+w_right = np.where(sm.in_range, sm.frac, 0.0)
 print(f"\nsampling taps: {grid.n_valid} cells x {sm.n_samples} points, "
       f"{int(sm.in_range.sum())} in range, "
       f"{int((w_left > 0).sum() + (w_right > 0).sum())} nonzero weights")
@@ -36,22 +39,31 @@ sums = w_left + w_right
 print(f"tap weight sums are 0 (outside) or 1 (in range): "
       f"{np.unique(np.round(sums, 12)).tolist()}")
 
-# the network never builds the N sample points: sampling and the N-point
-# reduction with weights w fold into one (D*T, T) matrix
+# the proposal layer samples N points per cell and reduces them with
+# weights w plus a bias b; the network never builds the N points: the
+# sampling and the reduction fold into one (D*T, T) matrix
+zero = np.zeros(1)
+
+
+def point(x, n):
+    """Sample point n of every cell, W_n x: the layer with w = e_n, b = 0."""
+    return sample_proposal_features(x, sm, np.eye(sm.n_samples)[n], zero)
+
+
 w = np.linspace(1.0, 2.0, sm.n_samples)
-w_r = sm.reduction_matrix(w)
 x = np.random.default_rng(0).normal(size=8)
-fused = (x @ w_r.T).reshape(8, 8)
-direct = np.tensordot(sample_proposal_features(x, sm), w, axes=(0, 0))
+fused = sample_proposal_features(x, sm, w, zero)   # (D, T)
+direct = sum(w[n] * point(x, n) for n in range(sm.n_samples))
 assert np.allclose(fused, direct, rtol=1e-12, atol=1e-12)
-print(f"fused (D*T, T) = {w_r.shape} operator matches sample-then-reduce")
+print(f"fused (D*T, T) = {sm.reduction_matrix(w).shape} operator matches "
+      f"sample-then-reduce")
 
 # sampling a linear ramp returns the sample positions themselves
-ramp = np.arange(8, dtype=float)[None, :]          # (C=1, T)
-sampled = sample_proposal_features(ramp, sm)       # (1, N, D, T)
+ramp = np.arange(8, dtype=float)                   # (T,)
 d, t = 3, 2                                        # segment [2, 6), k = 4
+positions = [point(ramp, n)[d, t] for n in range(sm.n_samples)]
 print(f"cell (d={d}, t={t}) sample points on a ramp: "
-      f"{np.round(sampled[0, :, d, t], 3)}")
+      f"{np.round(positions, 3)}")
 
 # --- masking ----------------------------------------------------------------
 # a training step draws one mask per sample for its (C, D, T) proposal map;
@@ -78,11 +90,10 @@ print(f"mean over 500 draws: {mean:.4f} (expectation 1.0)")
 
 # a mask is the same for all N points of a cell, so masking the sampled
 # points before the N-point reduction equals masking the reduced map after
-# it, which is what the network does
+# it, which is what the layer does
 h = np.random.default_rng(2).normal(size=(16, 8))  # (C, T)
-sampled = sample_proposal_features(h, sm)          # (C, N, D, T)
-before = np.tensordot(sampled * mask[:, None], w, axes=(1, 0))
-after = (h @ w_r.T).reshape(16, 8, 8) * mask
+before = sum(w[n] * (point(h, n) * mask) for n in range(sm.n_samples))
+after = sample_proposal_features(h, sm, w, zero, mask)  # (C, D, T)
 assert np.allclose(before, after, rtol=1e-12, atol=1e-12)
 print("masking commutes with the N-point reduction: OK")
 

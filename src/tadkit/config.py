@@ -129,7 +129,8 @@ class ModelConfig:
 @dataclass
 class PreprocessConfig:
     """One setting per training-data strategy, each off at theta_long 1,
-    repeat_factor 1, resize_lo = resize_hi = 1 and shift_fraction 0."""
+    repeat_factor 1, resize_lo = resize_hi = 1 and a shift_fraction below
+    1/C for C feature channels (0 among them), which shifts no channel."""
 
     theta_long: float = 0.98
     theta_short: float = 0.05

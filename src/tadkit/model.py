@@ -4,10 +4,10 @@ dense proposal map, losses, analytic gradients, and the training loop.
 Everything runs in float64 numpy. The backward pass is written by hand for
 this fixed architecture and is validated against central finite differences
 by the test suite. Shapes are channel-major internally: a batch is
-``(B, C, T)`` and the reduced proposal map is ``(B, C, D, T)``. Sampling N
-points per cell, masking them and contracting them with ``reduce_w`` is one
-``(D*T, T)`` matmul (``SamplingMatrix.reduction_matrix``), so the
-``(B, C, N, D, T)`` proposal tensor is never built.
+``(B, C, T)`` and the reduced proposal map is ``(B, C, D, T)``. The
+proposal layer, ``proposals.sample_proposal_features`` and
+``sample_adjoint``, samples, masks and reduces N points per cell in one
+``(D*T, T)`` matmul, so the ``(B, C, N, D, T)`` tensor is never built.
 
 Masks exist only inside a training step: ``draw_step_noise`` draws one per
 sample, stacked to ``(B, C|1, D|1, T|1)``, and ``_forward_batch`` applies
@@ -30,7 +30,7 @@ loss is one running per-sample total. So a step's memory is its chunk's
 full-size (8, C_h, D, T) float64 maps and does not grow with
 ``batch_size``. Chunks of 8 were no slower than the whole batch at the
 A5 and paper shapes; chunks of 4 made the A5 step about 10% slower,
-because each pass's GEMMs get narrower. The chunks of a step share one
+because each pass's GEMMs get narrower. The passes of a step share one
 ``W_r``, which ``SamplingMatrix.reduction_matrix`` keeps for the last
 ``reduce_w``.
 
@@ -43,9 +43,9 @@ forward's intermediates. It
 builds the heads' input gradient ``gh2d`` in ``hidden2d``'s own buffer,
 one channel at a time, then frees ``reduced`` once the ``pem`` weight
 gradient is summed and ``gh2d`` once the ``pem`` input gradient is built;
-the proposal-reduction backward then holds that gradient and one masked
-copy of it. Beside the two maps, the (B, D, T) head maps and gradients, the
-masks and ``W_r`` add about one map. No padded copy of a map is built.
+``sample_adjoint`` then holds that gradient and one masked copy of it.
+Beside the two maps, the (B, D, T) head maps and gradients, the masks and
+``W_r`` add about one map. No padded copy of a map is built.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ from .dataio import (AnnotationSet, NetworkOutputs, VideoAnnotation,
 # BENCHMARK.json fixes (model.save_outputs.*, model.load_outputs.*).
 from .dataio import load_outputs, save_outputs  # noqa: F401
 from .preprocess import epoch_list, resize_instance, temporal_shift
-from .proposals import draw_mask, gt_iou_map
+from .proposals import (draw_mask, gt_iou_map, sample_adjoint,
+                        sample_proposal_features)
 
 MODEL_MAGIC = b"CPNM"
 MODEL_VERSION = 1
@@ -246,37 +247,6 @@ def _conv_weight_grad(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
     return gw, gout.sum(axis=(0, 2, 3))
 
 
-def _proposal_reduce(h2: np.ndarray, sm: SamplingMatrix, w: np.ndarray,
-                     b: np.ndarray, masks: np.ndarray | None):
-    """Sample N points per proposal cell, mask, and reduce over N with
-    weights ``w`` plus bias ``b``: (B, C, T) -> (B, C, D, T).
-
-    ``masks`` (B, C|1, D|1, T|1) do not vary over N, so masking commutes
-    with the reduction and the whole layer is one matmul with
-    W_r = sum_n w[n] W_n. Returns the output and W_r.
-    """
-    w_r = sm.reduction_matrix(w)  # (D*T, T)
-    out = (h2 @ w_r.T).reshape(*h2.shape[:2], sm.grid.d_max,
-                               sm.grid.t_scale)
-    if masks is not None:
-        out *= masks
-    out += b[0]
-    return out, w_r
-
-
-def _proposal_reduce_backward(gout: np.ndarray, h2: np.ndarray,
-                              sm: SamplingMatrix, w_r: np.ndarray,
-                              masks: np.ndarray | None):
-    """Gradients of _proposal_reduce w.r.t. (h2, w, b), for a C-contiguous
-    gout."""
-    gb = np.array([gout.sum()])
-    if masks is not None:
-        gout = gout * masks
-    gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T), no copy
-    gw = sm.reduction_weight_grad(gflat.T @ h2.reshape(gflat.shape[0], -1))
-    return (gflat @ w_r).reshape(h2.shape), gw, gb
-
-
 # ---------------------------------------------------------------------------
 # Forward
 
@@ -301,8 +271,8 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     h1, h2 = h1[:, :, 0], h2[:, :, 0]
 
     sm = cfg.sampling_matrix()
-    reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
-                                    params["reduce_b"], masks)
+    reduced = sample_proposal_features(h2, sm, params["reduce_w"],
+                                       params["reduce_b"], masks)
     hidden2d = _conv(reduced, params["pem_w"], params["pem_b"])
     np.maximum(hidden2d, 0.0, out=hidden2d)
     b, _, d, t = hidden2d.shape
@@ -313,7 +283,7 @@ def _forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
                      + params["reg_b"][0])
     return dict(x=x, h1=h1, h2=h2, reduced=reduced, hidden2d=hidden2d,
                 p_start=p_start, p_end=p_end, p_cls=p_cls, p_reg=p_reg,
-                masks=masks, sm=sm, w_r=w_r)
+                masks=masks, sm=sm)
 
 
 def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
@@ -348,8 +318,8 @@ def _backward_batch(params: dict, fwd: dict, g_start: np.ndarray,
     del reduced
     greduced = _conv_input_grad(gh2d, params["pem_w"])
     del gh2d
-    gh2, g["reduce_w"], g["reduce_b"] = _proposal_reduce_backward(
-        greduced, h2, fwd["sm"], fwd["w_r"], fwd["masks"])
+    gh2, g["reduce_w"], g["reduce_b"] = sample_adjoint(
+        greduced, h2, fwd["sm"], params["reduce_w"], fwd["masks"])
     del greduced
 
     h1, h2 = h1[:, :, None], h2[:, :, None]  # D = 1 maps
@@ -594,14 +564,14 @@ def prepare_sample(video_id: str, anns: AnnotationSet,
                    ) -> TrainSample:
     """Rescale one video to the model scale and build its targets; resize
     and shift each apply with probability 0.5, and neither draws from rng
-    at its neutral setting (resize range (1, 1), shift_fraction 0)."""
+    at its neutral setting (resize range (1, 1), shift_fraction < 1/C)."""
     ann = anns[video_id]
     feats = features[video_id]
     resize = (pp.resize_lo, pp.resize_hi)
     if resize != (1, 1) and ann.instances and rng.random() < 0.5:
         feats, ann = resize_instance(feats, ann, rng, resize)
     seq = rescale_features(feats, cfg.t_scale)
-    if pp.shift_fraction > 0 and rng.random() < 0.5:
+    if int(pp.shift_fraction * seq.shape[1]) > 0 and rng.random() < 0.5:
         seq = temporal_shift(seq, pp.shift_fraction)
     return TrainSample(np.ascontiguousarray(seq.T),
                        boundary_labels(ann, cfg.t_scale),

@@ -1,7 +1,8 @@
 """Dense proposal machinery: the duration-by-start lattice of candidate
-segments, the IoU targets, the bilinear proposal-feature sampling taps with
-their fused N-point reduction, and the random proposal masks that training
-draws (``draw_mask``); inference never masks.
+segments, the IoU targets, the bilinear sampling taps, the proposal layer
+the network runs (``sample_proposal_features`` and its gradients,
+``sample_adjoint``), and the random proposal masks that training draws
+(``draw_mask``); inference never masks.
 
 Grid convention: cell (d, t) with 0-based duration index d denotes the
 segment [t, t + d + 1) in snippet units; it is valid iff t + d + 1 <= T.
@@ -96,33 +97,24 @@ class SamplingMatrix:
     _last_reduction: dict[bytes, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(left column, right column, left weight, right weight), each
-        (n_valid, N). Out-of-range points get weight 0 on column 0; the
-        right column is clipped to t_in - 1 where its weight is 0."""
-        left = np.where(self.in_range, self.i0, 0)
-        right = np.minimum(left + 1, self.t_in - 1)
-        w_left = np.where(self.in_range, 1.0 - self.frac, 0.0)
-        w_right = np.where(self.in_range, self.frac, 0.0)
-        return left, right, w_left, w_right
-
     @cached_property
     def _flat_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both taps as indices into a flattened (D*T, t_in) matrix and
-        their weights, each (2, n_valid, N)."""
-        left, right, w_left, w_right = self.taps()
+        """Both taps of every point as indices into a flattened (D*T, t_in)
+        matrix, and their weights, each (2, n_valid, N). Zero-weight taps
+        read column 0 (out of range) or t_in - 1 (a right tap past it)."""
+        left = np.where(self.in_range, self.i0, 0)
+        right = np.minimum(left + 1, self.t_in - 1)
         base = self.cells[:, None] * self.t_in
         return (np.stack([base + left, base + right]),
-                np.stack([w_left, w_right]))
+                np.stack([np.where(self.in_range, 1.0 - self.frac, 0.0),
+                          np.where(self.in_range, self.frac, 0.0)]))
 
     def reduction_matrix(self, reduce_w: np.ndarray) -> np.ndarray:
         """The dense (D*T, t_in) matrix W_r = sum_n reduce_w[n] * W_n.
 
-        Sampling N points per cell and then contracting them with
-        ``reduce_w`` is the single matmul ``hidden @ W_r.T``. The last
-        result is kept, read-only and keyed by the bytes of ``reduce_w``,
-        so the chunks of one training step and the videos of one inference
-        run share one W_r.
+        The last result is kept, read-only and keyed by the bytes of
+        ``reduce_w``, so the forward and backward passes of one training
+        step, and the videos of one inference run, share one W_r.
         """
         w = np.asarray(reduce_w, dtype=np.float64)
         key = w.tobytes()
@@ -137,14 +129,6 @@ class SamplingMatrix:
             self._last_reduction.clear()
             self._last_reduction[key] = w_r
         return w_r
-
-    def reduction_weight_grad(self, outer: np.ndarray) -> np.ndarray:
-        """Gradient of ``<outer, W_r>`` w.r.t. ``reduce_w``: (N,).
-
-        ``outer`` is a (D*T, t_in) matrix; entry n is ``<outer, W_n>``.
-        """
-        idx, wts = self._flat_taps
-        return (outer.reshape(-1)[idx] * wts).sum(axis=(0, 1))
 
 
 @lru_cache(maxsize=8)
@@ -178,44 +162,49 @@ def build_sampling_matrix(t_scale: int, d_max: int, n_samples: int,
                           frac, in_range)
 
 
-def sample_proposal_features(hidden: np.ndarray,
-                             sm: SamplingMatrix) -> np.ndarray:
-    """Sample dense proposal features: (..., t_in) -> (..., N, D, T).
+def sample_proposal_features(hidden: np.ndarray, sm: SamplingMatrix,
+                             reduce_w: np.ndarray, reduce_b: np.ndarray,
+                             masks: np.ndarray | None = None) -> np.ndarray:
+    """The proposal layer, (..., t_in) -> (..., D, T): sample N points per
+    valid cell, mask, and reduce over N with weights ``reduce_w`` plus bias
+    ``reduce_b``. A mask is the same for all N points of a cell, so the
+    layer is one matmul with W_r (``SamplingMatrix.reduction_matrix``) and
+    the (..., N, D, T) points are never built. A one-hot ``reduce_w`` = e_n
+    with ``reduce_b`` 0 and no mask gives point n alone, W_n x."""
+    _check_width(hidden, sm)
+    w_r = sm.reduction_matrix(reduce_w)  # (D*T, t_in)
+    out = (hidden @ w_r.T).reshape(*hidden.shape[:-1], sm.grid.d_max,
+                                   sm.grid.t_scale)
+    if masks is not None:
+        out *= masks
+    out += reduce_b[0]
+    return out
 
-    A pure linear map; entries at invalid cells and out-of-range sample
-    points are zero. This materializes every sample point and serves as
-    the reference for the fused operator (``SamplingMatrix.reduction_matrix``)
-    that the network uses.
-    """
-    hidden = np.asarray(hidden)
+
+def sample_adjoint(grad: np.ndarray, hidden: np.ndarray, sm: SamplingMatrix,
+                   reduce_w: np.ndarray, masks: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of sample_proposal_features w.r.t. (hidden, reduce_w,
+    reduce_b) for its output gradient ``grad``, read without a copy when
+    C-contiguous. Entry n of the ``reduce_w`` gradient sums the taps of W_n
+    over the (D*T, t_in) outer product of the masked grad and hidden."""
+    _check_width(hidden, sm)
+    g_b = np.array([grad.sum()])
+    if masks is not None:
+        grad = grad * masks
+    gflat = grad.reshape(-1, sm.grid.d_max * sm.grid.t_scale)
+    outer = gflat.T @ hidden.reshape(gflat.shape[0], -1)
+    idx, wts = sm._flat_taps
+    g_w = (outer.reshape(-1)[idx] * wts).sum(axis=(0, 1))
+    del outer
+    g_hidden = (gflat @ sm.reduction_matrix(reduce_w)).reshape(hidden.shape)
+    return g_hidden, g_w, g_b
+
+
+def _check_width(hidden: np.ndarray, sm: SamplingMatrix) -> None:
     if hidden.shape[-1] != sm.t_in:
-        raise ValueError(
-            f"hidden width {hidden.shape[-1]} != sampling matrix t_in "
-            f"{sm.t_in}")
-    lead = hidden.shape[:-1]
-    flat = hidden.reshape(-1, sm.t_in)
-    left, right, w_left, w_right = sm.taps()
-    vals = flat[:, left] * w_left + flat[:, right] * w_right  # (M, cells, N)
-    size = sm.grid.d_max * sm.grid.t_scale
-    out = np.zeros((flat.shape[0], sm.n_samples, size))
-    out[:, :, sm.cells] = vals.transpose(0, 2, 1)
-    return out.reshape(*lead, sm.n_samples, sm.grid.d_max, sm.grid.t_scale)
-
-
-def sample_adjoint(grad_out: np.ndarray, sm: SamplingMatrix) -> np.ndarray:
-    """Adjoint of sample_proposal_features: (..., N, D, T) -> (..., t_in)."""
-    grad_out = np.asarray(grad_out)
-    size = sm.grid.d_max * sm.grid.t_scale
-    lead = grad_out.shape[:-3]
-    flat = grad_out.reshape(-1, sm.n_samples, size)
-    rows = np.arange(flat.shape[0])[:, None] * sm.t_in
-    out = np.zeros(flat.shape[0] * sm.t_in)
-    left, right, w_left, w_right = sm.taps()
-    for n, g in enumerate(flat[:, :, sm.cells].transpose(1, 0, 2)):
-        for cols, wts in ((left, w_left), (right, w_right)):
-            out += np.bincount((rows + cols[:, n]).ravel(),
-                               (g * wts[:, n]).ravel(), minlength=out.size)
-    return out.reshape(*lead, sm.t_in)
+        raise ValueError(f"hidden width {hidden.shape[-1]} != sampling "
+                         f"matrix t_in {sm.t_in}")
 
 
 def draw_mask(shape: tuple[int, int, int], cfg: MaskConfig,

@@ -232,6 +232,15 @@ def detection_ground_truth_from_raw(gt_raw):
             for vid, insts in gt_raw.items()}
 
 
+def _sample_points(x, sm):
+    """W_n x for every sample point n, stacked to (..., N, D, T), read off
+    the proposal layer that the network runs: a one-hot reduce_w = e_n with
+    reduce_b = 0 and no mask gives W_n x."""
+    zero = np.zeros(1)
+    return np.stack([sample_proposal_features(x, sm, e_n, zero)
+                     for e_n in np.eye(sm.n_samples)], axis=-3)
+
+
 def test_a2_sampling_correctness():
     with report("A2"):
         t, d, n, expansion = 100, 100, 32, 0.25
@@ -247,7 +256,16 @@ def test_a2_sampling_correctness():
         pts = left[:, None] + np.arange(n)[None, :] * step[:, None]
         expected = ((pts >= 0.0) & (pts <= t - 1)).astype(float)  # (cells,N)
 
-        sampled = sample_proposal_features(np.ones((1, t)), sm)[0]
+        # every input of this check goes through the layer in one batch
+        # (one W_r per sample point): a constant, 20 random 2-channel
+        # inputs, and one more random input
+        rng = np.random.default_rng(202)
+        randoms = [rng.normal(size=(2, t)) for _ in range(20)]
+        x = rng.normal(size=t)
+        every = _sample_points(np.concatenate([np.ones((1, t)), *randoms,
+                                               x[None, :]]), sm)
+
+        sampled = every[0]
         got = sampled[:, d_idx, t_idx].T  # (cells, N)
         assert np.abs(got - expected).max() <= 1e-6
 
@@ -256,23 +274,20 @@ def test_a2_sampling_correctness():
         assert np.abs(sampled[:, invalid]).max() == 0.0
 
         # 20 random inputs against a direct interpolation oracle
-        rng = np.random.default_rng(202)
         lo = np.clip(np.floor(pts).astype(int), 0, t - 1)
         hi = np.clip(lo + 1, 0, t - 1)
         frac = pts - np.floor(pts)
         inside = (pts >= 0.0) & (pts <= t - 1)
-        for _ in range(20):
-            x = rng.normal(size=(2, t))
-            got = sample_proposal_features(x, sm)
+        for i, xr in enumerate(randoms):
+            got = every[1 + 2 * i:3 + 2 * i]
             want = np.zeros_like(got)
             for c in range(2):
-                vals = (1.0 - frac) * x[c][lo] + frac * x[c][hi]
+                vals = (1.0 - frac) * xr[c][lo] + frac * xr[c][hi]
                 want[c][:, d_idx, t_idx] = np.where(inside, vals, 0.0).T
             assert np.abs(got - want).max() <= 1e-6
 
         # entry-by-entry pure-Python spot check on one input
-        x = rng.normal(size=t)
-        got = sample_proposal_features(x[None, :], sm)[0]
+        got = every[-1]
         for cell in rng.choice(len(d_idx), size=40, replace=False):
             dd, tt = int(d_idx[cell]), int(t_idx[cell])
             seg_len = dd + 1.0

@@ -10,8 +10,10 @@ subcommand), so these tests read ``bench/`` and check every such name,
 config and command against the library. The traced counts also depend on
 how the CLI calls the traced functions (which argument is the path, what
 the result's length means), so one test runs a small ``ensemble`` in
-process under ``traced_cli``'s tracer. No benchmark command runs, and no
-file under ``bench/`` is written.
+process under ``traced_cli``'s tracer, and another a small train-to-eval
+pipeline, to check that every traced function of a layer that
+``bench/layer_map.json`` says ``train_a5`` exercises is called. No
+benchmark command runs, and no file under ``bench/`` is written.
 """
 
 import ast
@@ -174,6 +176,51 @@ def test_traced_counts_read_the_cli_call_layout(tmp_path):
     for name, file in (("postprocess.save_proposals", "proposals.json"),
                        ("postprocess.save_detections", "detections.json")):
         assert counts(name) == [{"bytes": (out / file).stat().st_size}]
+
+
+def test_train_pipeline_calls_every_function_its_layers_trace(tmp_path):
+    """bench/layer_map.json says which per-layer metrics a traced train_a5
+    run reads nonzero; a traced function that the pipeline no longer calls
+    (say, a layer the network runs under another name) reads 0. Run a tiny
+    synth -> train -> infer -> eval-proposals -> eval-detections under the
+    tracer and check that each traced function of those groups records a
+    span."""
+    traced_cli = _load_bench_module("traced_cli")
+    layer_map = json.loads((BENCH / "layer_map.json").read_text())
+    traced = {f"{short}.{name}" for short, names in traced_cli.TRACED.items()
+              for name in names}
+    wanted = {name for group in layer_map["groups"]
+              if "train_a5" in group["exercised_by"]
+              for metric in group["metrics"]
+              if (name := metric.rsplit(".", 1)[0]) in traced}
+    assert {"proposals.sample_proposal_features",
+            "proposals.sample_adjoint"} <= wanted
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "seed": 1,
+        "paths": {"annotations": str(tmp_path / "annotations.json"),
+                  "features_dir": str(tmp_path / "features"),
+                  "class_scores": str(tmp_path / "class_scores.json"),
+                  "output_dir": str(tmp_path / "out")},
+        "synth": {"n_videos": 8, "t_raw_range": [16, 24], "channels": 4,
+                  "n_classes": 2, "val_fraction": 0.25},
+        "grid": {"t_scale": 8, "d_max": 8, "n_samples": 4},
+        "model": {"c_h": 4, "epochs": 1, "batch_size": 4},
+        "mask": {"p": 0.1},
+        "postprocess": {"max_out": 10},
+        "eval": {"an_max": 10}}))
+    flags = ["--config", str(config), "--threads", "1"]
+    assert main(["synth", *flags]) == 0
+    tracer = traced_cli.Tracer("contract")
+    tracer.install()
+    try:
+        for command in ("train", "infer", "eval-proposals",
+                        "eval-detections"):
+            assert main([command, *flags]) == 0, command
+    finally:
+        tracer.restore()
+    called = {span["name"] for span in tracer.spans}
+    assert sorted(wanted - called) == []
 
 
 @pytest.mark.parametrize("save, load, row", [

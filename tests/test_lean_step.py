@@ -18,7 +18,10 @@ lean step runs too, and whose last bits differ from what they replaced:
 the heads, forward and weight gradients, are one matmul over the flattened
 map instead of ``np.tensordot`` (``tests/test_conv.py`` checks them against
 ``tensordot`` at 1e-12), and ``_tap_sum`` returns a C-contiguous array, so
-that ``reduce_b``'s gradient sums the same contiguous array.
+that ``reduce_b``'s gradient sums the same contiguous array. Its proposal
+layer's forward pass is the library's ``sample_proposal_features``; its
+backward pass is its own, with the ``reduce_w`` gradient summed over the
+taps by ``sampling_oracle``.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sampling_oracle import reduction_weight_grad
 from tadkit.model import (_STEP_CHUNK, ModelConfig, _backward_batch,
-                          _forward_batch, _proposal_reduce, _sample_grads,
-                          _sigmoid, batch_loss, draw_step_noise, forward,
+                          _forward_batch, _sample_grads, _sigmoid,
+                          batch_loss, draw_step_noise, forward,
                           loss_and_gradients)
-from tadkit.proposals import MaskConfig, SamplingMatrix
+from tadkit.proposals import (MaskConfig, SamplingMatrix,
+                              sample_proposal_features)
 from test_model import perturbed_params, random_sample
 
 
@@ -110,12 +115,12 @@ def _conv_backward(gout: np.ndarray, x: np.ndarray, w: np.ndarray):
 def _proposal_reduce_backward(gout: np.ndarray, h2: np.ndarray,
                               sm: SamplingMatrix, w_r: np.ndarray,
                               masks: np.ndarray | None):
-    """Gradients of _proposal_reduce w.r.t. (h2, w, b)."""
+    """Gradients of sample_proposal_features w.r.t. (h2, w, b)."""
     gb = np.array([gout.sum()])
     if masks is not None:
         gout = gout * masks
     gflat = gout.reshape(-1, w_r.shape[0])  # (B*C, D*T)
-    gw = sm.reduction_weight_grad(gflat.T @ h2.reshape(gflat.shape[0], -1))
+    gw = reduction_weight_grad(sm, gflat.T @ h2.reshape(gflat.shape[0], -1))
     return (gflat @ w_r).reshape(h2.shape), gw, gb
 
 
@@ -139,8 +144,9 @@ def _old_forward_batch(params: dict, x: np.ndarray, cfg: ModelConfig,
     h1, h2 = h1[:, :, 0], h2[:, :, 0]
 
     sm = cfg.sampling_matrix()
-    reduced, w_r = _proposal_reduce(h2, sm, params["reduce_w"],
-                                    params["reduce_b"], masks)
+    reduced = sample_proposal_features(h2, sm, params["reduce_w"],
+                                       params["reduce_b"], masks)
+    w_r = sm.reduction_matrix(params["reduce_w"])
     hidden2d = np.maximum(_conv(reduced, params["pem_w"], params["pem_b"]),
                           0.0)
     b, _, d, t = hidden2d.shape

@@ -8,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from sampling_oracle import sample_points
 from tadkit.dataio import AnnotationSet, Instance, VideoAnnotation
 from tadkit.model import (BoundaryLabels, ModelConfig, ModelIOError,
                           StepNoise, TrainingDivergedError, TrainSample,
@@ -18,8 +19,7 @@ from tadkit.model import (BoundaryLabels, ModelConfig, ModelIOError,
                           init_params, load_model, load_outputs,
                           loss_and_gradients, save_model, save_outputs, train)
 from tadkit.preprocess import PreprocessConfig
-from tadkit.proposals import (MaskConfig, proposal_grid,
-                              sample_proposal_features)
+from tadkit.proposals import MaskConfig, proposal_grid
 
 
 def tiny_config(**kw):
@@ -55,8 +55,8 @@ def _kink_margin(params, batch, cfg, noise):
     Central differences are only valid where the composition is smooth; a
     pre-activation within ~step * gain of zero can flip sign under the
     probe and corrupt the measurement without any gradient being wrong.
-    The proposal features are sampled and masked literally, independent of
-    the fused operator the network runs.
+    The proposal features are sampled and masked literally, by the test
+    oracle, independent of the fused operator the network runs.
     """
     x = np.stack([s.features for s in batch])
     z1 = _conv(x[:, :, None], params["stem1_w"][:, :, None],
@@ -64,7 +64,7 @@ def _kink_margin(params, batch, cfg, noise):
     h1 = np.maximum(z1, 0.0)
     z2 = _conv(h1, params["stem2_w"][:, :, None], params["stem2_b"])
     h2 = np.maximum(z2, 0.0)[:, :, 0]
-    sampled = sample_proposal_features(h2, cfg.sampling_matrix())
+    sampled = sample_points(h2, cfg.sampling_matrix())
     if noise.masks is not None:
         sampled = sampled * noise.masks[:, :, None]  # same for all N points
     reduced = np.tensordot(sampled, params["reduce_w"], axes=([2], [0])) \

@@ -169,8 +169,8 @@ def _annotation_sets(draw):
 
 
 class TestNeutralSettings:
-    """theta_long 1, repeat_factor 1, a (1, 1) resize range and
-    shift_fraction 0 each turn their strategy off."""
+    """theta_long 1, repeat_factor 1, a (1, 1) resize range and a
+    shift_fraction below 1/C (0 among them) each turn their strategy off."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(anns=_annotation_sets(), theta_short=st.floats(0.0, 2.0))
@@ -200,8 +200,27 @@ class TestNeutralSettings:
             prepare_sample(vid, anns, feats, cfg, PreprocessConfig(), rng)
         assert rng.bit_generator.state == state
         prepare_sample(next(iter(anns.videos)), anns, feats, cfg,
-                       PreprocessConfig(shift_fraction=0.125), rng)
+                       PreprocessConfig(shift_fraction=0.5), rng)
         assert rng.bit_generator.state != state
+
+    def test_shift_of_no_channel_draws_nothing(self):
+        """floor(0.05 * 16) = 0: a shift that moves no channel draws no
+        random number and returns the features as they are; at 20 channels
+        the same fraction moves one, and it draws."""
+        cfg = ModelConfig(c_in=16, c_h=2, t_scale=8, d_max=8, n_samples=2)
+        anns = make_set(video("v", 12.0, [(2.0, 6.0)]))
+        pp = PreprocessConfig(shift_fraction=0.05)
+        for channels, draws in ((16, False), (20, True)):
+            feats = {"v": np.random.default_rng(1).normal(
+                size=(12, channels))}
+            rng = np.random.default_rng(2)
+            state = rng.bit_generator.state
+            sample = prepare_sample("v", anns, feats, cfg, pp, rng)
+            assert (rng.bit_generator.state != state) == draws
+            if not draws:
+                want = prepare_sample("v", anns, feats, cfg,
+                                      PreprocessConfig(), rng)
+                np.testing.assert_array_equal(sample.features, want.features)
 
 
 class TestResizeInstance:

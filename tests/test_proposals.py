@@ -1,9 +1,15 @@
-"""Tests for the proposal lattice, IoU targets, the sparse sampling map and
-random proposal-feature masking."""
+"""Tests for the proposal lattice, IoU targets, the sparse sampling map, the
+proposal layer and random proposal-feature masking.
+
+The sampling map's taps are read point by point through the test oracle
+(``sampling_oracle``), which these tests check against naive interpolation;
+the proposal layer the network runs is checked against that oracle in
+``test_fused_reduce.py``."""
 
 import numpy as np
 import pytest
 
+from sampling_oracle import sample_points, taps
 from tadkit.dataio import Instance, VideoAnnotation
 from tadkit.proposals import (MaskConfig, build_sampling_matrix, draw_mask,
                               gt_iou_map, proposal_grid,
@@ -138,7 +144,7 @@ class TestGtIouMap:
 class TestSamplingMatrix:
     def test_rows_have_at_most_two_entries_summing_to_one(self):
         sm = build_sampling_matrix(10, 10, 4, 0.25)
-        left, right, w_left, w_right = sm.taps()
+        left, right, w_left, w_right = taps(sm)
         # every sample point has exactly two taps: one left, one right
         assert left.shape == right.shape == sm.in_range.shape
         assert ((0 <= left) & (right < 10)).all()
@@ -152,7 +158,7 @@ class TestSamplingMatrix:
         # N=2, expansion 0, proposal [1,3): points at 1.0 and 3.0
         sm = build_sampling_matrix(6, 6, 2, 0.0)
         x = np.arange(6, dtype=float)[None, :]  # one channel, value = index
-        out = sample_proposal_features(x, sm)[0]  # (N, D, T)
+        out = sample_points(x, sm)[0]  # (N, D, T)
         d, t = 1, 1  # segment [1, 3)
         assert out[0, d, t] == 1.0
         assert out[1, d, t] == 3.0
@@ -161,12 +167,12 @@ class TestSamplingMatrix:
         # expansion 0.25 on [0,4) at T=4: left point -1.0 is out of range
         sm = build_sampling_matrix(4, 4, 2, 0.25)
         x = np.ones((1, 4))
-        out = sample_proposal_features(x, sm)[0]
+        out = sample_points(x, sm)[0]
         assert out[0, 3, 0] == 0.0
 
     def test_constant_input_partition_of_unity(self):
         sm = build_sampling_matrix(20, 20, 8, 0.25)
-        out = sample_proposal_features(np.full((1, 20), 3.25), sm)[0]
+        out = sample_points(np.full((1, 20), 3.25), sm)[0]
         # every entry is either the constant (in-range point) or exactly 0
         near = np.isclose(out, 3.25, atol=1e-9) | (out == 0.0)
         assert near.all()
@@ -179,7 +185,7 @@ class TestSamplingMatrix:
         grid = proposal_grid(t, d)
         for _ in range(5):
             x = rng.normal(size=(2, t))
-            got = sample_proposal_features(x, sm)
+            got = sample_points(x, sm)
             want = np.zeros((2, n, d, t))
             for di in range(d):
                 for ti in range(t):
@@ -204,26 +210,51 @@ class TestSamplingMatrix:
         sm = build_sampling_matrix(9, 9, 4, 0.25)
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(2, 3, 9))
-        lhs = sample_proposal_features(2.0 * x - 0.5 * y, sm)
-        rhs = 2.0 * sample_proposal_features(x, sm) \
-            - 0.5 * sample_proposal_features(y, sm)
+        w, zero = rng.normal(size=4), np.zeros(1)
+        lhs = sample_proposal_features(2.0 * x - 0.5 * y, sm, w, zero)
+        rhs = 2.0 * sample_proposal_features(x, sm, w, zero) \
+            - 0.5 * sample_proposal_features(y, sm, w, zero)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_adjoint_dot_product_identity(self):
-        """<Sx, y> == <x, S'y> for random x, y."""
+        """For the layer F(x, w) = mask * sum_n w[n] W_n x + b and random
+        x, w, y: <F(x, w) - b, y> == <x, g_x> (the hidden gradient is the
+        adjoint), <F(x, e_n) - b, y> == g_w[n] and g_b == sum(y), without
+        a mask and with one of each granularity."""
         sm = build_sampling_matrix(8, 8, 4, 0.25)
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            x = rng.normal(size=(2, 8))
-            y = rng.normal(size=(2, 4, 8, 8))
-            lhs = float((sample_proposal_features(x, sm) * y).sum())
-            rhs = float((x * sample_adjoint(y, sm)).sum())
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        zero = np.zeros(1)
+        for granularity in (None, "proposal", "channel"):
+            for _ in range(10):
+                x = rng.normal(size=(2, 3, 8))
+                y = rng.normal(size=(2, 3, 8, 8))
+                w, b = rng.normal(size=4), rng.normal(size=1)
+                masks = None if granularity is None else np.stack([
+                    draw_mask((3, 8, 8), MaskConfig(p=0.5,
+                                                    granularity=granularity),
+                              rng) for _ in range(2)])
+                g_x, g_w, g_b = sample_adjoint(y, x, sm, w, masks)
+                out = sample_proposal_features(x, sm, w, b, masks) - b[0]
+                lhs = float((out * y).sum())
+                rhs = float((x * g_x).sum())
+                assert lhs == pytest.approx(rhs, rel=1e-12)
+                for n, e_n in enumerate(np.eye(4)):
+                    out = sample_proposal_features(x, sm, e_n, zero, masks)
+                    assert float((out * y).sum()) == \
+                        pytest.approx(g_w[n], rel=1e-12)
+                assert g_b == pytest.approx([y.sum()], rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         sm = build_sampling_matrix(8, 8, 4, 0.25)
+        w, b = np.ones(4), np.zeros(1)
         with pytest.raises(ValueError):
-            sample_proposal_features(np.ones((2, 9)), sm)
+            sample_proposal_features(np.ones((2, 9)), sm, w, b)
+        with pytest.raises(ValueError):
+            sample_adjoint(np.ones((2, 8, 8)), np.ones((2, 9)), sm, w)
+        with pytest.raises(ValueError):
+            sample_adjoint(np.ones((2, 8, 7)), np.ones((2, 8)), sm, w)
+        with pytest.raises(ValueError):
+            sample_points(np.ones((2, 9)), sm)
 
 
 class TestMasking:
